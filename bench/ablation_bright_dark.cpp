@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "chip/power7.h"
 #include "core/report.h"
 #include "core/system_config.h"
@@ -87,30 +85,9 @@ void print_reproduction() {
               (bright.max_activity >= 0.99 && dark.max_activity < 0.9) ? "YES" : "NO");
 }
 
-void bm_activity_search(benchmark::State& state) {
-  const auto config = co::power7_system_config();
-  th::ThermalModel::GridSettings grid;
-  grid.axial_cells = 8;
-  th::ThermalModel air(th::power7_conventional_stack(1200.0, 318.15), ch::kPower7DieWidthM,
-                       ch::kPower7DieHeightM, grid);
-  pd::PowerGridSpec core_rail;
-  core_rail.sheet_resistance_ohm_per_sq = 5e-3;
-  co::ThrottleEnvironment env;
-  env.thermal_model = &air;
-  env.grid_spec = &core_rail;
-  env.taps = pd::make_edge_taps(20, ch::kPower7DieWidthM, ch::kPower7DieHeightM, 1.0, 2e-3);
-  env.power_spec = config.power_spec;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(co::find_max_core_activity(env, co::ThrottleConstraints{}, 0.05));
-  }
-}
-BENCHMARK(bm_activity_search)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,13 +5,10 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.h"
 #include "electrochem/nernst.h"
 #include "electrochem/vanadium.h"
 #include "flowcell/colaminar_fvm.h"
-#include "flowcell/polarization.h"
 #include "flowcell/reference_data.h"
 #include "repro/figures.h"
 
@@ -110,32 +107,9 @@ void print_reproduction() {
   std::printf("\n");
 }
 
-void bm_channel_solve(benchmark::State& state) {
-  const fc::ColaminarChannelModel model(fc::kjeang2007_geometry(),
-                                        ec::kjeang2007_validation_chemistry());
-  const auto cond = conditions_for(60.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.solve_at_voltage(0.9, cond));
-  }
-}
-BENCHMARK(bm_channel_solve)->Unit(benchmark::kMillisecond);
-
-void bm_polarization_sweep(benchmark::State& state) {
-  const fc::ColaminarChannelModel model(fc::kjeang2007_geometry(),
-                                        ec::kjeang2007_validation_chemistry());
-  const auto cond = conditions_for(60.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fc::sweep_polarization(model, cond, 0.3, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(bm_polarization_sweep)->Arg(10)->Arg(25)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

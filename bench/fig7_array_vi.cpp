@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.h"
 #include "electrochem/vanadium.h"
 #include "flowcell/cell_array.h"
@@ -70,27 +68,9 @@ void print_reproduction() {
   std::printf("\n");
 }
 
-void bm_array_current(benchmark::State& state) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(array.current_at_voltage(1.0));
-  }
-}
-BENCHMARK(bm_array_current)->Unit(benchmark::kMicrosecond);
-
-void bm_array_voltage_solve(benchmark::State& state) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(array.voltage_at_current(6.0));
-  }
-}
-BENCHMARK(bm_array_voltage_solve)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

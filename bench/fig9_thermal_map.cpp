@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "chip/power7.h"
 #include "core/report.h"
 #include "repro/figures.h"
@@ -19,13 +17,6 @@ using brightsi::core::TextTable;
 using brightsi::core::print_ascii_map;
 
 namespace {
-
-th::OperatingPoint paper_operating_point() {
-  th::OperatingPoint op;
-  op.total_flow_m3_per_s = 676e-6 / 60.0;  // Table II
-  op.inlet_temperature_k = 300.15;         // 27 C
-  return op;
-}
 
 void print_reproduction() {
   const auto floorplan = ch::make_power7_floorplan();
@@ -79,39 +70,9 @@ void print_reproduction() {
   std::printf("\n");
 }
 
-void bm_thermal_steady(benchmark::State& state) {
-  const auto floorplan = ch::make_power7_floorplan();
-  th::ThermalModel::GridSettings settings;
-  settings.axial_cells = static_cast<int>(state.range(0));
-  const th::ThermalModel model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                               ch::kPower7DieHeightM, settings);
-  const auto op = paper_operating_point();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.solve_steady(floorplan, op));
-  }
-}
-BENCHMARK(bm_thermal_steady)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-
-void bm_thermal_transient_step(benchmark::State& state) {
-  const auto floorplan = ch::make_power7_floorplan();
-  th::ThermalModel::GridSettings settings;
-  settings.axial_cells = 16;
-  const th::ThermalModel model(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                               ch::kPower7DieHeightM, settings);
-  const auto op = paper_operating_point();
-  auto state_grid = model.uniform_state(op.inlet_temperature_k);
-  for (auto _ : state) {
-    auto sol = model.step_transient(state_grid, floorplan, op, 0.05);
-    benchmark::DoNotOptimize(sol.peak_temperature_k);
-  }
-}
-BENCHMARK(bm_thermal_transient_step)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

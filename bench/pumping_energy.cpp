@@ -9,8 +9,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.h"
 #include "electrochem/vanadium.h"
 #include "flowcell/cell_array.h"
@@ -77,30 +75,9 @@ void print_reproduction() {
   std::printf("\n");
 }
 
-void bm_hydraulics_eval(benchmark::State& state) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(array.hydraulics_at_spec_flow());
-  }
-}
-BENCHMARK(bm_hydraulics_eval)->Unit(benchmark::kNanosecond);
-
-void bm_net_power_point(benchmark::State& state) {
-  const fc::FlowCellArray array(fc::power7_array_spec(), ec::power7_array_chemistry());
-  for (auto _ : state) {
-    const auto h = array.hydraulics_at_spec_flow();
-    const double pump = hy::pumping_power_w(
-        h.pressure_drop_pa, fc::power7_array_spec().total_flow_m3_per_s, 0.5);
-    benchmark::DoNotOptimize(array.current_at_voltage(1.0) - pump);
-  }
-}
-BENCHMARK(bm_net_power_point)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_reproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

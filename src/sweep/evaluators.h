@@ -1,7 +1,7 @@
 // Evaluators turn one resolved scenario into a row of named metrics. The
 // three built-ins cover the repo's ablation workloads: the full
-// electro-thermal co-simulation, the isothermal array design point (bench
-// ablation_geometry) and the cache-rail integrity solve (bench
+// electro-thermal co-simulation, the isothermal array design point (plan
+// ablation_geometry) and the cache-rail integrity solve (plan
 // ablation_vrm_placement).
 #ifndef BRIGHTSI_SWEEP_EVALUATORS_H
 #define BRIGHTSI_SWEEP_EVALUATORS_H
@@ -36,7 +36,7 @@ struct SweepEvaluator {
 
 /// Isothermal array design point at 1 V: current, deliverable power density
 /// per electrode area, pressure drop, pumping power and net power — the
-/// ablation_geometry bench columns.
+/// ablation_geometry plan columns.
 [[nodiscard]] SweepEvaluator array_power_evaluator();
 
 /// The array design point plus a steady conjugate thermal solve at the

@@ -6,7 +6,7 @@ namespace brightsi::sweep {
 
 namespace {
 
-/// bench/ablation_geometry as data: the Section IV outlook sweep of channel
+/// The channel-geometry ablation: the Section IV outlook sweep of channel
 /// dimensions, flow rate and inlet temperature, evaluated at the isothermal
 /// 1 V design point.
 SweepPlan geometry_plan() {
@@ -41,7 +41,7 @@ SweepPlan geometry_plan() {
   return plan;
 }
 
-/// bench/temp_sensitivity as data: the Section III-B coupled cases (nominal
+/// The temperature ablation: the Section III-B coupled cases (nominal
 /// flow, starved flow, warm inlet) through the full co-simulation.
 SweepPlan temperature_plan() {
   SweepPlan plan;
@@ -62,7 +62,7 @@ SweepPlan temperature_plan() {
   return plan;
 }
 
-/// bench/ablation_vrm_placement as data: distributed tap grids vs the
+/// The VRM-placement ablation: distributed tap grids vs the
 /// edge-fed baseline vs output resistance, on the cache rail.
 SweepPlan vrm_placement_plan() {
   SweepPlan plan;

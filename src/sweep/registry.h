@@ -1,6 +1,6 @@
-// Named, ready-to-run sweep plans. The first three re-express existing
-// one-off bench mains (ablation_geometry, temp_sensitivity,
-// ablation_vrm_placement) as data: same design points, same metrics, but
+// Named, ready-to-run sweep plans. The first three are the paper's
+// ablations (ablation_geometry, temp_sensitivity,
+// ablation_vrm_placement) as data: same design points, same metrics,
 // runnable on every core through the SweepRunner.
 #ifndef BRIGHTSI_SWEEP_REGISTRY_H
 #define BRIGHTSI_SWEEP_REGISTRY_H

@@ -1,8 +1,9 @@
 // Tests of the reduced-order transient backend (thermal/rom.h): backend
 // name parsing, option validation, the certified error bound against the
 // exact full solve, full-vs-rom trajectory agreement within the cumulative
-// certificate on single-die / stacked / throttled workloads, and the
-// non-vacuity of the bound (a workload perturbation must trip a fallback).
+// certificate on single-die / stacked / throttled workloads, the
+// non-vacuity of the bound (a workload perturbation must trip a fallback)
+// and the reduced-step share of an endurance-length repeated trace.
 #include <cmath>
 #include <cstddef>
 #include <optional>
@@ -297,6 +298,35 @@ TEST(RomFallback, WorkloadPerturbationTripsTheBound) {
   EXPECT_GT(rom.rom.max_rejected_bound_k, th::RomOptions{}.tolerance_k);
 }
 
+// -------------------------------------------------------------- endurance
+
+TEST(RomEndurance, ReducedStepsCarryARepeatedBurstTrace) {
+  // The workload the reduced backend is for: a long mission that revisits
+  // the same phases, so the basis built during the first bursts serves the
+  // rest. Measured at 24 repeats: 1067 of 1080 steps reduced (13
+  // fallbacks, all early); the gate allows twice that many fallbacks.
+  co::SystemConfig system = co::power7_system_config();
+  system.thermal_grid.axial_cells = 8;
+  const ch::Floorplan floorplan = ch::make_power7_floorplan(system.power_spec);
+  const th::ThermalModel model(system.stack, floorplan.die_width(), floorplan.die_height(),
+                               system.thermal_grid);
+  const ch::WorkloadTrace trace(ch::burst_trace(1).phases(), /*repeats=*/24);
+
+  th::TransientEngineOptions options;
+  options.schedule.dt_s = 0.07;
+  options.backend = th::TransientBackend::kRom;
+  th::TransientEngine engine(model, system.thermal_operating_point(), options);
+  engine.run(trace, system.power_spec, [](const th::TransientEngine::StepView&) {});
+
+  ASSERT_NE(engine.rom(), nullptr);
+  const th::RomStats& stats = engine.rom()->stats();
+  ASSERT_EQ(engine.steps_taken(), 1080);
+  EXPECT_EQ(stats.rom_steps + stats.full_steps, engine.steps_taken());
+  EXPECT_GE(static_cast<double>(stats.rom_steps) / engine.steps_taken(), 0.975)
+      << stats.rom_steps << " reduced, " << stats.full_steps << " fallbacks";
+  EXPECT_LE(stats.max_accepted_bound_k, options.rom.tolerance_k);
+}
+
 // ---------------------------------------------------------------- mission
 
 TEST(RomMission, SurfacesTheCertificateAndTracksTheFullBackend) {
@@ -314,8 +344,8 @@ TEST(RomMission, SurfacesTheCertificateAndTracksTheFullBackend) {
   config.transient_backend = th::TransientBackend::kRom;
   const co::MissionResult rom = co::run_mission(config);
 
-  // The counters land in the result (and from there in sweep rows and
-  // BENCH_mission.json); the full backend reports all-zero rom fields.
+  // The counters land in the result (and from there in sweep rows); the
+  // full backend reports all-zero rom fields.
   EXPECT_EQ(full.rom_steps, 0);
   EXPECT_EQ(full.rom_fallbacks, 0);
   EXPECT_GT(rom.rom_steps, 0);

@@ -154,7 +154,7 @@ TEST(SweepRunner, SingleScenarioMatchesDirectArrayEvaluation) {
   ASSERT_EQ(result.rows.size(), 1u);
   ASSERT_FALSE(result.rows[0].failed);
 
-  // Direct evaluation, the way bench/ablation_geometry does it.
+  // Direct evaluation through the flow-cell array and pump models.
   auto spec = plan.base.array_spec;
   spec.total_flow_m3_per_s = 200.0 * 1e-6 / 60.0;
   const fc::FlowCellArray array(spec, plan.base.chemistry, plan.base.fvm);
