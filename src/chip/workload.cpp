@@ -1,7 +1,10 @@
 #include "chip/workload.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "numerics/contracts.h"
 
@@ -49,6 +52,56 @@ const WorkloadPhase& WorkloadTrace::phase_at(double t_s) const {
     local -= phase.duration_s;
   }
   return phases_.back();
+}
+
+WorkloadPhase WorkloadTrace::mean_phase(double t0_s, double t1_s) const {
+  ensure_non_negative(t0_s, "mean_phase interval start");
+  ensure(t1_s > t0_s, "WorkloadTrace::mean_phase: interval end " + std::to_string(t1_s) +
+                          " s does not follow its start " + std::to_string(t0_s) + " s");
+  const double cycle = std::accumulate(
+      phases_.begin(), phases_.end(), 0.0,
+      [](double sum, const WorkloadPhase& phase) { return sum + phase.duration_s; });
+  // Seconds each phase is active over the interval: whole cycles first,
+  // then a walk from t0's position in the cycle.
+  const double length = t1_s - t0_s;
+  const double cycles = std::floor(length / cycle);
+  std::vector<double> active(phases_.size());
+  for (std::size_t p = 0; p < phases_.size(); ++p) {
+    active[p] = cycles * phases_[p].duration_s;
+  }
+  double local = std::fmod(t0_s, cycle);
+  std::size_t p = 0;
+  while (p + 1 < phases_.size() && local >= phases_[p].duration_s) {
+    local -= phases_[p].duration_s;
+    ++p;
+  }
+  for (double remaining = length - cycles * cycle; remaining > 0.0;
+       p = (p + 1) % phases_.size()) {
+    const double piece = std::min(remaining, std::max(0.0, phases_[p].duration_s - local));
+    active[p] += piece;
+    remaining -= piece;
+    local = 0.0;
+  }
+
+  const auto is_active = [](double seconds) { return seconds > 0.0; };
+  const auto first = std::find_if(active.begin(), active.end(), is_active);
+  if (std::none_of(first + 1, active.end(), is_active)) {
+    // One phase covers the interval: its activities exactly, no rounding.
+    WorkloadPhase phase = phases_[static_cast<std::size_t>(first - active.begin())];
+    phase.duration_s = length;
+    return phase;
+  }
+  const double weight = std::accumulate(active.begin(), active.end(), 0.0);
+  WorkloadPhase mean{"mean", length, 0.0, 0.0, 0.0, 0.0};
+  for (double WorkloadPhase::*activity :
+       {&WorkloadPhase::core_activity, &WorkloadPhase::cache_activity,
+        &WorkloadPhase::logic_activity, &WorkloadPhase::io_activity}) {
+    for (std::size_t q = 0; q < phases_.size(); ++q) {
+      mean.*activity += active[q] * phases_[q].*activity;
+    }
+    mean.*activity /= weight;
+  }
+  return mean;
 }
 
 Floorplan apply_phase(const Power7PowerSpec& spec, const WorkloadPhase& phase) {

@@ -42,6 +42,15 @@ class WorkloadTrace {
   /// `t_s` exceeds the total duration.
   [[nodiscard]] const WorkloadPhase& phase_at(double t_s) const;
 
+  /// The workload over the interval (t0_s, t1_s] of the trace replayed
+  /// cyclically: every activity is its time-weighted mean over the
+  /// interval. Power maps are linear in activity, so a step driven by the
+  /// mean phase receives the interval's exact energy however short its
+  /// phases are. The result lasts t1_s - t0_s and carries the active
+  /// phase's name when one phase covers the interval, "mean" otherwise.
+  /// Throws std::invalid_argument unless 0 <= t0_s < t1_s.
+  [[nodiscard]] WorkloadPhase mean_phase(double t0_s, double t1_s) const;
+
  private:
   std::vector<WorkloadPhase> phases_;
   int repeats_ = 1;

@@ -198,7 +198,6 @@ MissionResult run_mission(const MissionConfig& config,
 
   th::TransientEngineOptions engine_options;
   engine_options.schedule.dt_s = config.dt_s;
-  engine_options.schedule.align_phase_boundaries = config.align_phase_boundaries;
   engine_options.sample_stride = config.sample_stride;
   engine_options.initial_state = initial_thermal_state;
   engine_options.backend = config.transient_backend;

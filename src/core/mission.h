@@ -9,10 +9,11 @@
 // question behind the paper's flow-battery framing: for how long, and
 // under what workloads, can the electrolyte loop actually carry the rail?
 //
-// Stepping goes through the shared TransientEngine (thermal/transient.h):
-// phase-boundary-aligned steps that always cover the full trace duration,
-// one solve context across the mission, and a final_state/final_soc
-// checkpoint that seeds a resumed follow-up mission.
+// Stepping goes through TransientEngine::run (thermal/transient.h), a loop
+// over the engine's one step() primitive: phase-boundary-aligned steps
+// that always cover the full trace duration, one solve context across the
+// mission, and a final_state/final_soc checkpoint that seeds a resumed
+// follow-up mission.
 #ifndef BRIGHTSI_CORE_MISSION_H
 #define BRIGHTSI_CORE_MISSION_H
 
@@ -41,10 +42,6 @@ struct MissionConfig {
   /// Record every Nth step (the final step is always recorded); reservoir
   /// and energy integration always run every step.
   int sample_stride = 1;
-  /// Snap steps to workload phase edges (thermal/transient.h). Disabling
-  /// runs plain dt_s steps through phase boundaries; the trace end is
-  /// still covered exactly either way.
-  bool align_phase_boundaries = true;
   /// Thermal stepping backend: the full-grid solve (default, bit-stable)
   /// or the certified reduced-order model (thermal/rom.h).
   thermal::TransientBackend transient_backend = thermal::TransientBackend::kFull;

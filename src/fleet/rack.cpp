@@ -11,7 +11,7 @@
 #include "hydraulics/manifold.h"
 #include "hydraulics/pump.h"
 #include "numerics/contracts.h"
-#include "thermal/solve_context.h"
+#include "thermal/transient.h"
 
 namespace brightsi::fleet {
 
@@ -19,14 +19,16 @@ namespace {
 
 /// Per-chip solve machinery: the assembled thermal model (shared between
 /// structurally identical chips), the die floorplans (stable addresses —
-/// replay reassigns them in place per step), and the chip's manifold
-/// branch as seen from the rack plena.
+/// replay reassigns them in place per step), the chip's manifold branch as
+/// seen from the rack plena and, during a replay, the live chip's
+/// transient engine.
 struct ChipEngine {
   const RackChip* chip = nullptr;
   std::shared_ptr<const thermal::ThermalModel> model;
   std::vector<chip::Floorplan> floorplans;           ///< primary + upper dies
   std::vector<const chip::Floorplan*> pointers;      ///< span view of the above
   hydraulics::ParallelBranch branch;
+  std::unique_ptr<thermal::TransientEngine> transient;  ///< replay only
 };
 
 std::vector<ChipEngine> build_engines(const RackSpec& rack) {
@@ -269,17 +271,18 @@ FleetReplayResult replay_fleet_trace(const RackSpec& rack,
   rack.validate();
   ensure_positive(options.dt_s, "replay dt");
   ensure(options.steps > 0, "replay steps must be positive");
-  const double trace_duration_s = options.trace.total_duration_s();
-  ensure_positive(trace_duration_s, "workload trace duration");
+  ensure_positive(options.trace.total_duration_s(), "workload trace duration");
 
   std::vector<ChipEngine> engines = build_engines(rack);
-  std::vector<std::unique_ptr<thermal::ThermalSolveContext>> contexts;
-  std::vector<numerics::Grid3<double>> states;
-  contexts.reserve(engines.size());
-  states.reserve(engines.size());
-  for (const ChipEngine& engine : engines) {
-    contexts.push_back(std::make_unique<thermal::ThermalSolveContext>(*engine.model));
-    states.push_back(engine.model->uniform_state(rack.loop_inlet_temperature_k));
+  for (ChipEngine& engine : engines) {
+    if (!engine.chip->blocked) {
+      // Constructed at the loop inlet: the replay starts from a uniform
+      // field there; each step then runs at the walk's operating point.
+      engine.transient = std::make_unique<thermal::TransientEngine>(
+          *engine.model, engine.chip->system.loop_operating_point(
+                             rack.loop_flow_m3_per_s, rack.loop_inlet_temperature_k,
+                             rack.coolant_laws));
+    }
   }
 
   FleetReplayResult result;
@@ -288,14 +291,14 @@ FleetReplayResult replay_fleet_trace(const RackSpec& rack,
   RackSolveResult last_step;
   for (int step = 0; step < options.steps; ++step) {
     const double t_s = step * options.dt_s;
-    // Each live chip sees its own offset phase of the (cyclic) trace.
+    // Each live chip sees its own offset stretch of the (cyclic) trace,
+    // averaged over the step so no phase shorter than dt is lost.
     for (ChipEngine& engine : engines) {
       if (engine.chip->blocked) {
         continue;
       }
-      const double phase_time_s =
-          std::fmod(t_s + engine.chip->workload_offset_s, trace_duration_s);
-      const chip::WorkloadPhase& phase = options.trace.phase_at(phase_time_s);
+      const double t0_s = t_s + engine.chip->workload_offset_s;
+      const chip::WorkloadPhase phase = options.trace.mean_phase(t0_s, t0_s + options.dt_s);
       engine.floorplans.front() = chip::apply_phase(engine.chip->system.power_spec, phase);
       for (std::size_t upper = 0; upper < engine.chip->system.upper_die_power.size();
            ++upper) {
@@ -305,12 +308,9 @@ FleetReplayResult replay_fleet_trace(const RackSpec& rack,
     }
     last_step = walk_rack(
         rack, engines, [&](std::size_t index, const thermal::OperatingPoint& op) {
-          thermal::ThermalSolution sol = contexts[index]->step_transient(
-              states[index], engines[index].pointers, op, options.dt_s);
-          const std::pair<double, double> observables{sol.fluid_heat_absorbed_w,
-                                                      sol.peak_temperature_k};
-          states[index] = std::move(sol.temperature_k);
-          return observables;
+          const thermal::ThermalSolution sol =
+              engines[index].transient->step(options.dt_s, engines[index].pointers, op);
+          return std::pair{sol.fluid_heat_absorbed_w, sol.peak_temperature_k};
         });
     result.max_peak_temperature_k =
         std::max(result.max_peak_temperature_k, last_step.peak_temperature_k);

@@ -25,9 +25,12 @@
 // treated as powered off (no solve). An all-blocked segment throws the
 // named-branch manifold error.
 //
-// Workloads. replay_fleet_trace steps every chip's transient thermal state
-// under one workload trace replayed cyclically with a per-chip time
-// offset (staggered duty cycles), re-walking the loop coupling every step.
+// Workloads. replay_fleet_trace steps every live chip's own
+// TransientEngine (thermal/transient.h) in lock step under one workload
+// trace replayed cyclically with a per-chip time offset (staggered duty
+// cycles), re-walking the loop coupling every step. Each step is driven by
+// the trace's mean phase over the step (WorkloadTrace::mean_phase), so
+// phases shorter than the step still enter the energy integral exactly.
 #ifndef BRIGHTSI_FLEET_RACK_H
 #define BRIGHTSI_FLEET_RACK_H
 
@@ -141,8 +144,9 @@ struct FleetReplayResult {
 
 /// Transient replay of `options.trace` across the fleet: every step
 /// re-walks the loop coupling (segment inlets from the upstream chips'
-/// states of the same step) and advances each live chip by one
-/// backward-Euler step under its offset phase of the trace. Deterministic.
+/// states of the same step) and advances each live chip's engine by one
+/// backward-Euler step under the trace's mean phase over the chip's offset
+/// step interval. Deterministic.
 [[nodiscard]] FleetReplayResult replay_fleet_trace(const RackSpec& rack,
                                                    const FleetReplayOptions& options);
 

@@ -49,6 +49,7 @@ struct OperatingPoint {
   CoolantProperties coolant;
 
   void validate(bool has_channels) const;
+  friend bool operator==(const OperatingPoint&, const OperatingPoint&) = default;
 };
 
 /// Per-block temperature summary. Blocks of dies above the bottom one are

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "numerics/contracts.h"
@@ -72,24 +73,17 @@ std::vector<TransientStep> make_transient_schedule(const chip::WorkloadTrace& tr
   schedule.reserve(static_cast<std::size_t>(total / options.dt_s) + trace.phases().size() *
                                                                         trace.repeats() +
                    1);
-  if (options.align_phase_boundaries) {
-    double t = 0.0;
-    const int segments = trace.repeats() * static_cast<int>(trace.phases().size());
-    int segment = 0;
-    for (int repeat = 0; repeat < trace.repeats(); ++repeat) {
-      for (const chip::WorkloadPhase& phase : trace.phases()) {
-        ++segment;
-        // Close the final segment on the exact total so the schedule end
-        // never drifts from total_duration_s() by accumulated rounding.
-        const double end = (segment == segments) ? total : t + phase.duration_s;
-        schedule_segment(t, end, options.dt_s, &phase, &schedule);
-        t = end;
-      }
-    }
-  } else {
-    schedule_segment(0.0, total, options.dt_s, nullptr, &schedule);
-    for (TransientStep& step : schedule) {
-      step.phase = &trace.phase_at(0.5 * (step.t_begin_s + step.t_end_s));
+  double t = 0.0;
+  const int segments = trace.repeats() * static_cast<int>(trace.phases().size());
+  int segment = 0;
+  for (int repeat = 0; repeat < trace.repeats(); ++repeat) {
+    for (const chip::WorkloadPhase& phase : trace.phases()) {
+      ++segment;
+      // Close the final segment on the exact total so the schedule end
+      // never drifts from total_duration_s() by accumulated rounding.
+      const double end = (segment == segments) ? total : t + phase.duration_s;
+      schedule_segment(t, end, options.dt_s, &phase, &schedule);
+      t = end;
     }
   }
   for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -105,9 +99,6 @@ TransientEngine::TransientEngine(const ThermalModel& model,
                                  const TransientEngineOptions& options)
     : model_(&model), operating_point_(operating_point), options_(options), context_(model) {
   ensure(options_.sample_stride >= 1, "sample stride must be >= 1");
-  ensure(static_cast<int>(options_.upper_die_floorplans.size()) == model.die_count() - 1,
-         "transient engine needs one upper-die floorplan per heat-source layer above "
-         "the primary die");
   state_ = options_.initial_state != nullptr
                ? *options_.initial_state
                : model.uniform_state(operating_point.inlet_temperature_k);
@@ -115,6 +106,35 @@ TransientEngine::TransientEngine(const ThermalModel& model,
   if (options_.backend == TransientBackend::kRom) {
     rom_ = std::make_unique<ReducedThermalModel>(model, operating_point_, options_.rom);
   }
+}
+
+ThermalSolution TransientEngine::step(double dt_s,
+                                      std::span<const chip::Floorplan* const> floorplans,
+                                      const OperatingPoint& operating_point) {
+  std::optional<ThermalSolution> solution;
+  if (rom_ != nullptr) {
+    ensure(operating_point == operating_point_,
+           "reduced-order transient engine stepped at an operating point other than the "
+           "one its basis was projected at (flow " +
+               std::to_string(operating_point.total_flow_m3_per_s) + " vs " +
+               std::to_string(operating_point_.total_flow_m3_per_s) + " m^3/s, inlet " +
+               std::to_string(operating_point.inlet_temperature_k) + " vs " +
+               std::to_string(operating_point_.inlet_temperature_k) + " K)");
+    solution = rom_->try_step(state_, floorplans, dt_s);
+  }
+  if (!solution) {
+    solution = context_.step_transient(state_, floorplans, operating_point, dt_s);
+    if (rom_ != nullptr) {
+      // Certified fallback: the full snapshot (taken from the state the
+      // engine still holds) enriches the basis for this step length.
+      rom_->enrich(dt_s, floorplans, *solution, state_);
+    }
+  }
+  ++steps_taken_;
+  // In-place hand-off: the solution's field becomes the state without a
+  // full-grid copy.
+  state_ = std::move(solution->temperature_k);
+  return std::move(*solution);
 }
 
 void TransientEngine::run(const chip::WorkloadTrace& trace,
@@ -129,6 +149,9 @@ void TransientEngine::run(const chip::WorkloadTrace& trace,
 void TransientEngine::run(const chip::WorkloadTrace& trace, const FloorplanFn& floorplan_for,
                           const StepFn& on_step) {
   ensure(static_cast<bool>(floorplan_for), "transient engine needs a floorplan function");
+  ensure(static_cast<int>(options_.upper_die_floorplans.size()) == model_->die_count() - 1,
+         "transient engine needs one upper-die floorplan per heat-source layer above "
+         "the primary die");
   const std::vector<TransientStep> schedule =
       make_transient_schedule(trace, options_.schedule);
   const int last = schedule.back().index;
@@ -138,40 +161,18 @@ void TransientEngine::run(const chip::WorkloadTrace& trace, const FloorplanFn& f
   for (std::size_t die = 0; die < options_.upper_die_floorplans.size(); ++die) {
     floorplans[die + 1] = &options_.upper_die_floorplans[die];
   }
-  for (const TransientStep& step : schedule) {
-    const chip::WorkloadPhase& phase = *step.phase;
-    const chip::Floorplan floorplan = floorplan_for(phase, step);
+  for (const TransientStep& scheduled : schedule) {
+    const chip::WorkloadPhase& phase = *scheduled.phase;
+    const chip::Floorplan floorplan = floorplan_for(phase, scheduled);
     floorplans.front() = &floorplan;
-    ThermalSolution solution;
-    bool reduced = false;
-    if (rom_ != nullptr) {
-      if (std::optional<ThermalSolution> attempt =
-              rom_->try_step(state_, floorplans, step.dt_s())) {
-        solution = std::move(*attempt);
-        reduced = true;
-      }
-    }
-    if (!reduced) {
-      solution = context_.step_transient(state_, floorplans, operating_point_, step.dt_s());
-      if (rom_ != nullptr) {
-        // Certified fallback: the full snapshot (taken from the state the
-        // engine still holds) enriches the basis for this step length.
-        rom_->enrich(step.dt_s(), floorplans, solution, state_);
-      }
-    }
-    ++steps_taken_;
-
-    const double mean_outlet_k =
-        solution.mean_outlet_k(operating_point_.inlet_temperature_k);
-
+    const ThermalSolution solution = step(scheduled.dt_s(), floorplans, operating_point_);
     if (on_step) {
-      StepView view{step, phase, solution, mean_outlet_k,
-                    ((step.index + 1) % options_.sample_stride == 0) || step.index == last};
+      StepView view{scheduled, phase, solution,
+                    solution.mean_outlet_k(operating_point_.inlet_temperature_k),
+                    ((scheduled.index + 1) % options_.sample_stride == 0) ||
+                        scheduled.index == last};
       on_step(view);
     }
-    // In-place hand-off: the solution is about to die, so its field becomes
-    // the next step's state without a full-grid copy.
-    state_ = std::move(solution.temperature_k);
   }
 }
 

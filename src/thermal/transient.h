@@ -1,26 +1,29 @@
-// Shared transient time-stepping engine: one loop that owns step
-// scheduling, phase lookup, the per-loop ThermalSolveContext, in-place
-// state hand-off and sample decimation for every transient driver in the
-// repo (thermal/trace_runner, core/mission, the throttling example).
+// Shared transient time-stepping engine: every transient loop in the repo
+// (core/mission, fleet/rack, the throttling example) advances its
+// temperature field through one TransientEngine.
 //
-// The scheduler is phase-boundary aligned: steps land exactly on workload
-// phase edges and on the trace end, so the whole trace duration is always
-// covered — the `static_cast<int>(total / dt)` truncation bug class (a
-// 10 s trace at dt = 0.1 losing its final step to floating point) is
-// structurally impossible. Within a segment the nominal dt is kept when it
-// divides the segment (round to nearest); otherwise full steps are
-// followed by one residual short step that closes the segment exactly.
+// step() is the single stepping primitive: one backward-Euler step of a
+// given length under every die's floorplan at a given operating point.
+// run() is a loop over step() along a phase-boundary-aligned schedule:
+// steps land exactly on workload phase edges and on the trace end, so the
+// whole trace duration is always covered — the `static_cast<int>(total /
+// dt)` truncation bug class (a 10 s trace at dt = 0.1 losing its final
+// step to floating point) is structurally impossible. Within a segment the
+// nominal dt is kept when it divides the segment (round to nearest);
+// otherwise full steps are followed by one residual short step that closes
+// the segment exactly.
 //
 // The engine owns the evolving temperature field and moves each solve's
-// field back into it (no per-step full-grid copy), carries one
+// field into it (no per-step full-grid copy), carries one
 // ThermalSolveContext across all steps (assemble-once, ILU(0) refactor,
 // warm starts), and hands a checkpointable `state()` back for resumable
-// runs (see docs/ARCHITECTURE.md, "Transient engine").
+// runs (see docs/ARCHITECTURE.md, "The transient engine").
 #ifndef BRIGHTSI_THERMAL_TRANSIENT_H
 #define BRIGHTSI_THERMAL_TRANSIENT_H
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,16 +61,12 @@ struct TransientStep {
 
 struct TransientScheduleOptions {
   double dt_s = 0.1;  ///< nominal step length
-  /// Snap steps to workload phase edges (every step then lies inside
-  /// exactly one phase). When false, steps of dt_s run straight through
-  /// phase boundaries — a step straddling an edge is attributed to the
-  /// phase at its midpoint — but the trace end is still covered exactly.
-  bool align_phase_boundaries = true;
 };
 
 /// Builds the step schedule for `trace`. Guarantees: the schedule is
-/// non-empty, steps tile [0, total_duration_s] gaplessly, and the final
-/// step's t_end_s equals trace.total_duration_s() exactly.
+/// non-empty, steps tile [0, total_duration_s] gaplessly, every step lies
+/// inside exactly one workload phase, and the final step's t_end_s equals
+/// trace.total_duration_s() exactly.
 [[nodiscard]] std::vector<TransientStep> make_transient_schedule(
     const chip::WorkloadTrace& trace, const TransientScheduleOptions& options);
 
@@ -80,9 +79,10 @@ struct TransientEngineOptions {
   /// point's inlet temperature. Copied at construction (borrowed only for
   /// the constructor call).
   const numerics::Grid3<double>* initial_state = nullptr;
-  /// Power maps of the dies stacked above the workload-driven primary die
-  /// (static across the trace), bottom to top. Size must equal the model's
-  /// die_count() - 1; leave empty for single-die stacks.
+  /// Power maps run() gives the dies stacked above the workload-driven
+  /// primary die (static across the trace), bottom to top. Size must equal
+  /// the model's die_count() - 1 when run() is called; leave empty for
+  /// single-die stacks or step()-only use.
   std::vector<chip::Floorplan> upper_die_floorplans;
   /// Stepping backend. kFull reproduces the seed path bit-for-bit; kRom
   /// serves steps from the reduced model whenever its certified error
@@ -92,15 +92,17 @@ struct TransientEngineOptions {
   RomOptions rom;  ///< used only when backend == kRom
 };
 
-/// Drives a WorkloadTrace through a ThermalModel with backward-Euler
-/// steps. The engine is resumable: after run() returns, `state()` holds
-/// the final temperature field and a further run() continues from it (the
-/// solve context, with its assembled operator and warm-start field, is
-/// carried along as well).
+/// Advances a temperature field through a ThermalModel with backward-Euler
+/// steps, one step() at a time or along a whole WorkloadTrace with run().
+/// The engine is resumable: `state()` always holds the latest temperature
+/// field and a further step() or run() continues from it (the solve
+/// context, with its assembled operator and warm-start field, is carried
+/// along as well).
 class TransientEngine {
  public:
   /// What a step callback sees: the scheduled step, its workload phase,
-  /// the fresh thermal solution, the channel-averaged outlet temperature
+  /// the fresh thermal solution as step() returns it (the field itself is
+  /// already the engine's state()), the channel-averaged outlet temperature
   /// (falling back to the inlet temperature for channel-less stacks) and
   /// whether this step passes the sample decimation stride.
   struct StepView {
@@ -117,8 +119,21 @@ class TransientEngine {
       std::function<chip::Floorplan(const chip::WorkloadPhase&, const TransientStep&)>;
   using StepFn = std::function<void(const StepView&)>;
 
+  /// `operating_point` drives run() and seeds the default uniform start; a
+  /// kRom engine projects its basis there.
   TransientEngine(const ThermalModel& model, const OperatingPoint& operating_point,
                   const TransientEngineOptions& options = {});
+
+  /// One backward-Euler step of `dt_s` from state() under `floorplans` (one
+  /// per heat-source die, bottom to top) at `operating_point`. The step's
+  /// field is moved into state(), so the returned solution's temperature_k
+  /// is empty; every other output is intact. A kRom engine serves the step
+  /// from its reduced model when the certificate allows and otherwise falls
+  /// back to the full solve and enriches the basis; it throws
+  /// std::invalid_argument for any operating point other than its
+  /// construction point.
+  ThermalSolution step(double dt_s, std::span<const chip::Floorplan* const> floorplans,
+                       const OperatingPoint& operating_point);
 
   /// Steps the whole trace, invoking `on_step` after every solve.
   void run(const chip::WorkloadTrace& trace, const FloorplanFn& floorplan_for,
@@ -141,7 +156,7 @@ class TransientEngine {
   /// The reduced backend's work counters and certificate trail; nullptr
   /// when the engine runs the full backend.
   [[nodiscard]] const ReducedThermalModel* rom() const { return rom_.get(); }
-  /// Steps taken across every run() of this engine's lifetime.
+  /// Steps taken across this engine's lifetime.
   [[nodiscard]] long long steps_taken() const { return steps_taken_; }
 
  private:

@@ -1,12 +1,16 @@
 // Tests of the fleet layer (fleet/rack.h): rack validation, the shared-loop
 // steady solve (serial inlet rise, energy balance, blocked-branch
-// rerouting, temperature-dependent coolant), staggered trace replay, and
+// rerouting, temperature-dependent coolant), staggered trace replay (the
+// engine-step equivalence and step-averaged workload phases), and
 // the fleet sweep plans' determinism contract — rows byte-identical across
 // thread counts, shard counts and kill-and-resume cycles.
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +23,7 @@
 #include "sweep/runner.h"
 #include "thermal/materials.h"
 #include "thermal/model.h"
+#include "thermal/transient.h"
 
 namespace ch = brightsi::chip;
 namespace co = brightsi::core;
@@ -320,6 +325,143 @@ TEST(FleetReplay, RejectsBadStepControls) {
   options.steps = 4;
   options.dt_s = 0.0;
   EXPECT_THROW((void)fl::replay_fleet_trace(rack, options), std::invalid_argument);
+}
+
+/// The time-weighted mean of (seconds, phase) parts, named "mean".
+ch::WorkloadPhase weighted(const std::vector<std::pair<double, ch::WorkloadPhase>>& parts) {
+  ch::WorkloadPhase mean{"mean", 0.0, 0.0, 0.0, 0.0, 0.0};
+  for (const auto& [seconds, phase] : parts) {
+    mean.duration_s += seconds;
+    mean.core_activity += seconds * phase.core_activity;
+    mean.cache_activity += seconds * phase.cache_activity;
+    mean.logic_activity += seconds * phase.logic_activity;
+    mean.io_activity += seconds * phase.io_activity;
+  }
+  mean.core_activity /= mean.duration_s;
+  mean.cache_activity /= mean.duration_s;
+  mean.logic_activity /= mean.duration_s;
+  mean.io_activity /= mean.duration_s;
+  return mean;
+}
+
+void expect_activities_near(const ch::WorkloadPhase& actual, const ch::WorkloadPhase& expected) {
+  EXPECT_NEAR(actual.core_activity, expected.core_activity, 1e-12);
+  EXPECT_NEAR(actual.cache_activity, expected.cache_activity, 1e-12);
+  EXPECT_NEAR(actual.logic_activity, expected.logic_activity, 1e-12);
+  EXPECT_NEAR(actual.io_activity, expected.io_activity, 1e-12);
+}
+
+TEST(FleetReplay, SingleChipReplayIsTheEngineStepBitwise) {
+  // A one-chip rack with constant-property coolant on a single-phase trace
+  // steps exactly what a TransientEngine run of the same model, operating
+  // point and dt steps: the fleet runs the engine's own step.
+  const co::SystemConfig base = fast_base();
+  const fl::RackSpec rack = fl::make_demo_rack(base, 1, 1, 1);
+  fl::FleetReplayOptions options;
+  options.trace = ch::full_load_trace(0.5);
+  options.dt_s = 0.125;  // binary-exact, so run()'s schedule steps 0.125 s too
+  options.steps = 4;
+  const fl::FleetReplayResult replay = fl::replay_fleet_trace(rack, options);
+
+  const ch::Floorplan floorplan = ch::make_power7_floorplan(base.power_spec);
+  const th::ThermalModel model(base.stack, floorplan.die_width(), floorplan.die_height(),
+                               base.thermal_grid);
+  th::OperatingPoint op = base.thermal_operating_point();
+  op.total_flow_m3_per_s = rack.loop_flow_m3_per_s;
+  op.inlet_temperature_k = rack.loop_inlet_temperature_k;
+  th::TransientEngineOptions engine_options;
+  engine_options.schedule.dt_s = options.dt_s;
+  th::TransientEngine engine(model, op, engine_options);
+  double max_peak_k = 0.0, heat_j = 0.0, last_peak_k = 0.0, last_heat_w = 0.0;
+  engine.run(options.trace, base.power_spec, [&](const th::TransientEngine::StepView& view) {
+    EXPECT_EQ(view.step.dt_s(), options.dt_s);
+    max_peak_k = std::max(max_peak_k, view.solution.peak_temperature_k);
+    heat_j += view.solution.fluid_heat_absorbed_w * options.dt_s;
+    last_peak_k = view.solution.peak_temperature_k;
+    last_heat_w = view.solution.fluid_heat_absorbed_w;
+  });
+
+  ASSERT_EQ(engine.steps_taken(), options.steps);
+  ASSERT_EQ(replay.final_chips.size(), 1u);
+  EXPECT_EQ(replay.max_peak_temperature_k, max_peak_k);
+  EXPECT_EQ(replay.heat_absorbed_j, heat_j);
+  // The final-step observables are functions of the final field.
+  EXPECT_EQ(replay.final_chips[0].peak_temperature_k, last_peak_k);
+  EXPECT_EQ(replay.final_chips[0].heat_absorbed_w, last_heat_w);
+}
+
+TEST(FleetReplay, PhasesShorterThanTheStepEnterTheEnergyIntegral) {
+  // A 10 ms spike inside every 0.1 s step: point-sampling the trace at the
+  // step start saw the spike or missed it depending on fmod rounding. The
+  // replay must integrate it, exactly like a one-phase trace carrying the
+  // time-averaged activities (power maps are linear in activity).
+  const fl::RackSpec rack = fl::make_demo_rack(fast_base(), 1, 1, 1);
+  const ch::WorkloadPhase idle{"idle", 0.09, 0.1, 0.3, 0.2, 0.1};
+  const ch::WorkloadPhase spike{"spike", 0.01, 3.0, 2.5, 2.0, 1.5};
+  fl::FleetReplayOptions options;
+  options.dt_s = 0.1;
+  options.steps = 6;
+  options.trace = ch::WorkloadTrace({idle, spike});
+  const fl::FleetReplayResult phased = fl::replay_fleet_trace(rack, options);
+  options.trace = ch::WorkloadTrace({weighted({{0.09, idle}, {0.01, spike}})});
+  const fl::FleetReplayResult flat = fl::replay_fleet_trace(rack, options);
+
+  EXPECT_NEAR(phased.heat_absorbed_j, flat.heat_absorbed_j, 1e-9 * flat.heat_absorbed_j);
+  EXPECT_NEAR(phased.max_peak_temperature_k, flat.max_peak_temperature_k,
+              1e-9 * flat.max_peak_temperature_k);
+}
+
+// -------------------------------------------------------------- mean phase
+TEST(MeanPhase, InsideOnePhaseReturnsItsActivitiesExactly) {
+  const ch::WorkloadTrace trace = ch::burst_trace(1);  // idle 0.6 | burst 1.2 | sustain 1.2
+  const ch::WorkloadPhase& burst = trace.phases()[1];
+  const ch::WorkloadPhase phase = trace.mean_phase(0.7, 0.9);
+  EXPECT_EQ(phase.name, "burst");
+  EXPECT_NEAR(phase.duration_s, 0.2, 1e-12);
+  EXPECT_EQ(phase.core_activity, burst.core_activity);
+  EXPECT_EQ(phase.cache_activity, burst.cache_activity);
+  EXPECT_EQ(phase.logic_activity, burst.logic_activity);
+  EXPECT_EQ(phase.io_activity, burst.io_activity);
+}
+
+TEST(MeanPhase, StraddlingABoundaryWeighsEachPhaseByItsTime) {
+  const ch::WorkloadTrace trace = ch::burst_trace(1);
+  const ch::WorkloadPhase phase = trace.mean_phase(0.5, 0.8);
+  EXPECT_EQ(phase.name, "mean");
+  expect_activities_near(phase, weighted({{0.1, trace.phases()[0]}, {0.2, trace.phases()[1]}}));
+}
+
+TEST(MeanPhase, IntervalsPastTheTraceEndWrapCyclically) {
+  const ch::WorkloadTrace trace = ch::burst_trace(1);  // 3.0 s
+  const ch::WorkloadPhase expected =
+      weighted({{0.1, trace.phases()[2]}, {0.2, trace.phases()[0]}});
+  expect_activities_near(trace.mean_phase(2.9, 3.2), expected);
+  // Any number of cycles later is the same stretch of the workload.
+  expect_activities_near(trace.mean_phase(8.9, 9.2), expected);
+  expect_activities_near(ch::burst_trace(2).mean_phase(5.9, 6.2), expected);
+}
+
+TEST(MeanPhase, WholeCyclesReturnTheTraceMean) {
+  const ch::WorkloadTrace trace = ch::burst_trace(1);
+  const ch::WorkloadPhase expected = weighted(
+      {{0.6, trace.phases()[0]}, {1.2, trace.phases()[1]}, {1.2, trace.phases()[2]}});
+  expect_activities_near(trace.mean_phase(0.0, 3.0), expected);
+  expect_activities_near(trace.mean_phase(0.3, 3.3), expected);
+  expect_activities_near(trace.mean_phase(0.25, 6.25), expected);
+}
+
+TEST(MeanPhase, RejectsAnEmptyOrReversedInterval) {
+  const ch::WorkloadTrace trace = ch::burst_trace(1);
+  for (const auto& [t0, t1] : {std::pair{1.0, 1.0}, std::pair{1.0, 0.5}}) {
+    try {
+      (void)trace.mean_phase(t0, t1);
+      FAIL() << "expected std::invalid_argument for (" << t0 << ", " << t1 << "]";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("mean_phase"), std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_THROW((void)trace.mean_phase(-0.1, 0.5), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ fleet sweeps

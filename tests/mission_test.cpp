@@ -139,27 +139,6 @@ TEST(Mission, SamplesCoverTheFullTraceDuration) {
   EXPECT_NEAR(divisible.samples.back().time_s, 1.0, 1e-9);
 }
 
-TEST(Mission, EnergyConservedAcrossScheduleModes) {
-  // Phase-aligned vs plain-dt stepping integrate the same mission: the
-  // delivered energy and drained charge agree within the discretization
-  // tolerance even though the step sequences differ.
-  auto config = fast_mission();
-  config.workload = ch::burst_trace(1);  // phases 0.6 | 1.2 | 1.2
-  config.dt_s = 0.25;                    // divides none of them
-  config.reservoir.tank_volume_m3 = 1e-5;  // 10 mL: visible SOC motion
-  const auto aligned = co::run_mission(config);
-  config.align_phase_boundaries = false;
-  const auto plain = co::run_mission(config);
-
-  ASSERT_GT(aligned.energy_delivered_j, 0.0);
-  EXPECT_NEAR(aligned.energy_delivered_j, plain.energy_delivered_j,
-              0.05 * aligned.energy_delivered_j);
-  EXPECT_NEAR(aligned.final_soc, plain.final_soc, 5e-4);
-  // Both schedules cover the full duration.
-  EXPECT_NEAR(aligned.samples.back().time_s, 3.0, 1e-9);
-  EXPECT_NEAR(plain.samples.back().time_s, 3.0, 1e-9);
-}
-
 TEST(Mission, CheckpointResumesSeamlessly) {
   const auto whole = co::run_mission(fast_mission(1.0));
 

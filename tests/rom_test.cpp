@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -296,6 +297,30 @@ TEST(RomFallback, WorkloadPerturbationTripsTheBound) {
   EXPECT_GT(rom.rom.full_steps, 1);
   EXPECT_GT(rom.rom.max_rejected_bound_k, rom.rom.max_accepted_bound_k);
   EXPECT_GT(rom.rom.max_rejected_bound_k, th::RomOptions{}.tolerance_k);
+}
+
+TEST(RomFallback, StepAtAnotherOperatingPointIsANamedError) {
+  // A basis is projected at one operating point; stepping it at another
+  // would serve steps from the wrong operator, so step() refuses by name.
+  const auto model = make_model();
+  th::TransientEngineOptions options;
+  options.backend = th::TransientBackend::kRom;
+  th::TransientEngine engine(model, nominal_op(), options);
+  const ch::Floorplan floorplan = ch::make_power7_floorplan();
+  const std::vector<const ch::Floorplan*> floorplans{&floorplan};
+  th::OperatingPoint warmer = nominal_op();
+  warmer.inlet_temperature_k += 5.0;
+  try {
+    (void)engine.step(0.1, floorplans, warmer);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("operating point"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(engine.steps_taken(), 0);
+  // The construction point still steps.
+  (void)engine.step(0.1, floorplans, nominal_op());
+  EXPECT_EQ(engine.steps_taken(), 1);
 }
 
 // -------------------------------------------------------------- endurance

@@ -1,14 +1,16 @@
 // Tests of the shared transient engine: phase-boundary-aligned step
 // scheduling (full trace coverage — no truncated tails), sample
-// decimation, outlet fallbacks, in-place state hand-off equivalence and
-// resumable checkpoints.
+// decimation, outlet fallbacks, in-place state hand-off equivalence,
+// resumable checkpoints and power following the workload phases.
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chip/power7.h"
 #include "thermal/stack.h"
-#include "thermal/trace_runner.h"
 #include "thermal/transient.h"
 
 namespace th = brightsi::thermal;
@@ -30,6 +32,46 @@ th::OperatingPoint nominal_op() {
   return op;
 }
 
+/// What the tests read of one engine step.
+struct Sample {
+  bool sampled = true;
+  double time_s = 0.0;
+  double dt_s = 0.0;
+  std::string phase;
+  double peak_k = 0.0;
+  double outlet_k = 0.0;
+  double power_w = 0.0;
+};
+
+/// Runs `trace` (default POWER7+ power spec) through `engine`, one Sample
+/// per step.
+std::vector<Sample> record(th::TransientEngine& engine, const ch::WorkloadTrace& trace) {
+  std::vector<Sample> steps;
+  engine.run(trace, ch::Power7PowerSpec{}, [&](const th::TransientEngine::StepView& view) {
+    steps.push_back({view.sampled, view.step.t_end_s, view.step.dt_s(), view.phase.name,
+                     view.solution.peak_temperature_k, view.mean_outlet_k,
+                     view.solution.total_power_w});
+  });
+  return steps;
+}
+
+th::TransientEngineOptions engine_options(double dt_s, int sample_stride = 1,
+                                 const brightsi::numerics::Grid3<double>* initial = nullptr) {
+  th::TransientEngineOptions options;
+  options.schedule.dt_s = dt_s;
+  options.sample_stride = sample_stride;
+  options.initial_state = initial;
+  return options;
+}
+
+double max_peak(const std::vector<Sample>& steps) {
+  double peak = 0.0;
+  for (const Sample& step : steps) {
+    peak = std::max(peak, step.peak_k);
+  }
+  return peak;
+}
+
 // ------------------------------------------------------------- scheduling
 
 TEST(TransientSchedule, DivisibleDtCoversTraceExactly) {
@@ -37,7 +79,7 @@ TEST(TransientSchedule, DivisibleDtCoversTraceExactly) {
   // final step. Round-to-nearest must yield exactly 100 steps ending at
   // exactly 10 s.
   const auto trace = ch::full_load_trace(10.0);
-  const auto schedule = th::make_transient_schedule(trace, {0.1, true});
+  const auto schedule = th::make_transient_schedule(trace, {0.1});
   ASSERT_EQ(schedule.size(), 100u);
   EXPECT_DOUBLE_EQ(schedule.back().t_end_s, 10.0);
   for (const th::TransientStep& step : schedule) {
@@ -47,7 +89,7 @@ TEST(TransientSchedule, DivisibleDtCoversTraceExactly) {
 
 TEST(TransientSchedule, NonDivisibleDtGetsResidualStep) {
   const auto trace = ch::full_load_trace(1.0);
-  const auto schedule = th::make_transient_schedule(trace, {0.3, true});
+  const auto schedule = th::make_transient_schedule(trace, {0.3});
   ASSERT_EQ(schedule.size(), 4u);  // 0.3, 0.3, 0.3, residual 0.1
   EXPECT_DOUBLE_EQ(schedule.back().t_end_s, 1.0);
   EXPECT_NEAR(schedule.back().dt_s(), 0.1, 1e-12);
@@ -59,7 +101,7 @@ TEST(TransientSchedule, NonDivisibleDtGetsResidualStep) {
 
 TEST(TransientSchedule, OversizedDtShrinksToTheTrace) {
   const auto trace = ch::full_load_trace(0.2);
-  const auto schedule = th::make_transient_schedule(trace, {1.0, true});
+  const auto schedule = th::make_transient_schedule(trace, {1.0});
   ASSERT_EQ(schedule.size(), 1u);
   EXPECT_DOUBLE_EQ(schedule.front().t_begin_s, 0.0);
   EXPECT_DOUBLE_EQ(schedule.front().t_end_s, 0.2);
@@ -68,7 +110,7 @@ TEST(TransientSchedule, OversizedDtShrinksToTheTrace) {
 TEST(TransientSchedule, AlignedStepsNeverStraddlePhaseEdges) {
   // burst_trace phases: 0.6 | 1.2 | 1.2 with dt 0.25 — none divisible.
   const auto trace = ch::burst_trace(2);
-  const auto schedule = th::make_transient_schedule(trace, {0.25, true});
+  const auto schedule = th::make_transient_schedule(trace, {0.25});
   EXPECT_DOUBLE_EQ(schedule.back().t_end_s, trace.total_duration_s());
   for (const th::TransientStep& step : schedule) {
     ASSERT_NE(step.phase, nullptr);
@@ -80,140 +122,146 @@ TEST(TransientSchedule, AlignedStepsNeverStraddlePhaseEdges) {
   }
 }
 
-TEST(TransientSchedule, UnalignedScheduleStillCoversTheTrace) {
-  const auto trace = ch::burst_trace(1);  // 3.0 s total
-  const auto schedule = th::make_transient_schedule(trace, {0.25, false});
-  ASSERT_EQ(schedule.size(), 12u);
-  EXPECT_DOUBLE_EQ(schedule.back().t_end_s, 3.0);
-  for (const th::TransientStep& step : schedule) {
-    ASSERT_NE(step.phase, nullptr);
-  }
-}
-
-TEST(TransientSchedule, UnalignedSchedulePinsStepCountAndMidpointPhases) {
-  // align_phase_boundaries = false: plain dt steps run straight through
-  // phase edges; a straddling step belongs to the phase at its midpoint.
-  // Phases A (0.5 s) + B (0.7 s) at dt 0.08: 1.2 / 0.08 divides, so 15
-  // equal steps; step 6 spans [0.48, 0.56] and its midpoint 0.52 lies in B.
-  std::vector<ch::WorkloadPhase> phases(2);
-  phases[0] = {"A", 0.5, 1.0, 1.0, 1.0, 1.0};
-  phases[1] = {"B", 0.7, 0.2, 0.2, 0.2, 0.2};
-  const ch::WorkloadTrace trace(phases);
-  const auto schedule = th::make_transient_schedule(trace, {0.08, false});
-  ASSERT_EQ(schedule.size(), 15u);
-  EXPECT_DOUBLE_EQ(schedule.back().t_end_s, 1.2);
-  EXPECT_NEAR(schedule[6].t_begin_s, 0.48, 1e-12);
-  EXPECT_NEAR(schedule[6].t_end_s, 0.56, 1e-12);
-  EXPECT_EQ(schedule[6].phase->name, "B");  // midpoint 0.52 is past the edge
-  EXPECT_EQ(schedule[5].phase->name, "A");  // midpoint 0.44 is before it
-  // Every step's phase is exactly the trace's phase at the step midpoint.
-  for (const th::TransientStep& step : schedule) {
-    EXPECT_EQ(step.phase, &trace.phase_at(0.5 * (step.t_begin_s + step.t_end_s)));
-  }
-}
-
-TEST(TransientSchedule, UnalignedResidualStepStillCoversTheTraceEnd) {
-  // dt 0.07 over 1.2 s does not divide: 17 full steps plus one short
-  // residual closer that ends exactly on the trace end.
-  std::vector<ch::WorkloadPhase> phases(2);
-  phases[0] = {"A", 0.5, 1.0, 1.0, 1.0, 1.0};
-  phases[1] = {"B", 0.7, 0.2, 0.2, 0.2, 0.2};
-  const ch::WorkloadTrace trace(phases);
-  const auto schedule = th::make_transient_schedule(trace, {0.07, false});
-  ASSERT_EQ(schedule.size(), 18u);
-  EXPECT_DOUBLE_EQ(schedule.back().t_end_s, 1.2);
-  EXPECT_NEAR(schedule.back().dt_s(), 0.01, 1e-9);
-  for (std::size_t i = 0; i + 1 < schedule.size(); ++i) {
-    EXPECT_NEAR(schedule[i].dt_s(), 0.07, 1e-12);
-    EXPECT_DOUBLE_EQ(schedule[i].t_end_s, schedule[i + 1].t_begin_s);
-  }
-  EXPECT_EQ(schedule.back().phase->name, "B");
-}
-
 TEST(TransientSchedule, RejectsBadInputs) {
   const auto trace = ch::full_load_trace(1.0);
-  EXPECT_THROW((void)th::make_transient_schedule(trace, {0.0, true}),
+  EXPECT_THROW((void)th::make_transient_schedule(trace, {0.0}),
                std::invalid_argument);
-  EXPECT_THROW((void)th::make_transient_schedule(trace, {-0.1, true}),
+  EXPECT_THROW((void)th::make_transient_schedule(trace, {-0.1}),
                std::invalid_argument);
 }
 
-// ------------------------------------------------------------ trace runner
+// --------------------------------------------------------------- engine
 
-TEST(TraceRunner, FullCoverageWithAwkwardDt) {
+TEST(TransientEngine, FullCoverageWithAwkwardDt) {
   const auto model = make_model();
   // 1.0 s at dt 0.3: the old truncating loop recorded 3 samples ending at
   // 0.9 s; the engine records 4 ending at exactly 1.0 s.
-  const auto result = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                            ch::full_load_trace(1.0), nominal_op(), 0.3);
-  ASSERT_EQ(result.samples.size(), 4u);
-  EXPECT_NEAR(result.samples.back().time_s, 1.0, 1e-9);
-  EXPECT_NEAR(result.samples.back().dt_s, 0.1, 1e-12);
+  th::TransientEngine engine(model, nominal_op(), engine_options(0.3));
+  const auto steps = record(engine, ch::full_load_trace(1.0));
+  ASSERT_EQ(steps.size(), 4u);
+  EXPECT_NEAR(steps.back().time_s, 1.0, 1e-9);
+  EXPECT_NEAR(steps.back().dt_s, 0.1, 1e-12);
 }
 
-TEST(TraceRunner, LongDivisibleTraceKeepsItsTail) {
+TEST(TransientEngine, LongDivisibleTraceKeepsItsTail) {
   const auto trace = ch::full_load_trace(10.0);
-  const auto schedule = th::make_transient_schedule(trace, {0.1, true});
+  const auto schedule = th::make_transient_schedule(trace, {0.1});
   EXPECT_EQ(schedule.size(), 100u);
   EXPECT_NEAR(schedule.back().t_end_s, trace.total_duration_s(), 1e-9);
 }
 
-TEST(TraceRunner, SolidStackFallsBackToInletOutlet) {
+TEST(TransientEngine, SolidStackFallsBackToInletOutlet) {
   // A channel-less (conventional air-cooled) stack has no outlet
-  // temperatures; the sample must fall back to the inlet temperature, not
+  // temperatures; the step must fall back to the inlet temperature, not
   // report 0 K.
   const th::ThermalModel model(th::power7_conventional_stack(), ch::kPower7DieWidthM,
                                ch::kPower7DieHeightM);
   th::OperatingPoint op;
   op.inlet_temperature_k = 318.15;
-  const auto result = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                            ch::full_load_trace(0.2), op, 0.1);
-  ASSERT_FALSE(result.samples.empty());
-  for (const th::TraceSample& sample : result.samples) {
-    EXPECT_DOUBLE_EQ(sample.mean_outlet_k, 318.15);
+  th::TransientEngine engine(model, op, engine_options(0.1));
+  const auto steps = record(engine, ch::full_load_trace(0.2));
+  ASSERT_FALSE(steps.empty());
+  for (const Sample& step : steps) {
+    EXPECT_DOUBLE_EQ(step.outlet_k, 318.15);
   }
 }
 
-TEST(TraceRunner, SampleDecimationKeepsTheTail) {
+TEST(TransientEngine, SampleDecimationKeepsTheTail) {
   const auto model = make_model();
-  const auto all = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                         ch::full_load_trace(1.0), nominal_op(), 0.1);
-  const auto thinned = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                             ch::full_load_trace(1.0), nominal_op(), 0.1,
-                                             nullptr, 3);
-  ASSERT_EQ(all.samples.size(), 10u);
-  ASSERT_EQ(thinned.samples.size(), 4u);  // steps 3, 6, 9, plus the final 10th
-  EXPECT_NEAR(thinned.samples.back().time_s, 1.0, 1e-9);
+  th::TransientEngine all(model, nominal_op(), engine_options(0.1));
+  th::TransientEngine thinned(model, nominal_op(), engine_options(0.1, 3));
+  const auto all_steps = record(all, ch::full_load_trace(1.0));
+  const auto thinned_steps = record(thinned, ch::full_load_trace(1.0));
+  std::vector<double> sampled_times;
+  for (const Sample& step : thinned_steps) {
+    if (step.sampled) {
+      sampled_times.push_back(step.time_s);
+    }
+  }
+  ASSERT_EQ(all_steps.size(), 10u);
+  EXPECT_TRUE(std::all_of(all_steps.begin(), all_steps.end(),
+                          [](const Sample& step) { return step.sampled; }));
+  ASSERT_EQ(sampled_times.size(), 4u);  // steps 3, 6, 9, plus the final 10th
+  EXPECT_NEAR(sampled_times.back(), 1.0, 1e-9);
   // Decimation only drops records: the stepping (and final state) match.
-  EXPECT_DOUBLE_EQ(thinned.max_peak_temperature_k, all.max_peak_temperature_k);
-  ASSERT_EQ(thinned.final_state.size(), all.final_state.size());
-  EXPECT_EQ(thinned.final_state.data(), all.final_state.data());
+  EXPECT_DOUBLE_EQ(max_peak(thinned_steps), max_peak(all_steps));
+  ASSERT_EQ(thinned.state().size(), all.state().size());
+  EXPECT_EQ(thinned.state().data(), all.state().data());
 }
-
-// --------------------------------------------------------------- engine
 
 TEST(TransientEngine, ResumedRunMatchesSingleRun) {
   const auto model = make_model();
   const auto op = nominal_op();
 
-  const auto whole = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                           ch::full_load_trace(1.0), op, 0.1);
-  const auto first = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                           ch::full_load_trace(0.5), op, 0.1);
-  const auto second = th::run_thermal_trace(model, ch::Power7PowerSpec{},
-                                            ch::full_load_trace(0.5), op, 0.1,
-                                            &first.final_state);
+  th::TransientEngine whole(model, op, engine_options(0.1));
+  const auto whole_steps = record(whole, ch::full_load_trace(1.0));
+  th::TransientEngine first(model, op, engine_options(0.1));
+  (void)record(first, ch::full_load_trace(0.5));
+  th::TransientEngine second(model, op, engine_options(0.1, 1, &first.state()));
+  const auto second_steps = record(second, ch::full_load_trace(0.5));
   // The split run walks the identical step sequence, so fields agree to
   // solver tolerance.
-  ASSERT_EQ(whole.final_state.size(), second.final_state.size());
+  ASSERT_EQ(whole.state().size(), second.state().size());
   double worst = 0.0;
-  for (std::size_t i = 0; i < whole.final_state.size(); ++i) {
-    worst = std::max(worst,
-                     std::abs(whole.final_state.data()[i] - second.final_state.data()[i]));
+  for (std::size_t i = 0; i < whole.state().size(); ++i) {
+    worst = std::max(worst, std::abs(whole.state().data()[i] - second.state().data()[i]));
   }
   EXPECT_LT(worst, 1e-3);
-  EXPECT_NEAR(whole.samples.back().peak_temperature_k,
-              second.samples.back().peak_temperature_k, 1e-3);
+  EXPECT_NEAR(whole_steps.back().peak_k, second_steps.back().peak_k, 1e-3);
+}
+
+TEST(TransientEngine, RecordsOneStepPerScheduledStep) {
+  const auto model = make_model();
+  th::TransientEngine engine(model, nominal_op(), engine_options(0.1));
+  const auto steps = record(engine, ch::full_load_trace(0.5));
+  EXPECT_EQ(steps.size(), 5u);
+  EXPECT_EQ(steps.front().phase, "full-load");
+  EXPECT_GT(max_peak(steps), 300.15);
+}
+
+TEST(TransientEngine, TemperatureRisesDuringBurst) {
+  const auto model = make_model();
+  th::TransientEngine engine(model, nominal_op(), engine_options(0.1));
+  // The last idle step and a late burst step.
+  double idle_peak = 0.0, burst_peak = 0.0;
+  for (const Sample& step : record(engine, ch::burst_trace(1))) {
+    if (step.phase == "idle") {
+      idle_peak = step.peak_k;
+    }
+    if (step.phase == "burst") {
+      burst_peak = step.peak_k;
+    }
+  }
+  EXPECT_GT(burst_peak, idle_peak + 1.0);
+}
+
+TEST(TransientEngine, FinalStateSeedsFollowUpRun) {
+  const auto model = make_model();
+  th::TransientEngine warmup(model, nominal_op(), engine_options(0.1));
+  (void)record(warmup, ch::full_load_trace(0.5));
+  th::TransientEngine cont(model, nominal_op(), engine_options(0.1, 1, &warmup.state()));
+  th::TransientEngine cold(model, nominal_op(), engine_options(0.1));
+  // Continuation starts hot: its first step exceeds a cold first step.
+  EXPECT_GT(record(cont, ch::full_load_trace(0.2)).front().peak_k,
+            record(cold, ch::full_load_trace(0.2)).front().peak_k + 1.0);
+}
+
+TEST(TransientEngine, PowerFollowsPhases) {
+  const auto model = make_model();
+  th::TransientEngine engine(model, nominal_op(), engine_options(0.1));
+  const double full_w = ch::make_power7_floorplan().total_power();
+  for (const Sample& step : record(engine, ch::memory_bound_trace(0.3))) {
+    EXPECT_LT(step.power_w, full_w);
+  }
+}
+
+TEST(TransientEngine, RunNeedsOneUpperFloorplanPerUpperDie) {
+  const th::ThermalModel model(th::two_die_stack(), ch::kPower7DieWidthM,
+                               ch::kPower7DieHeightM);
+  th::TransientEngine engine(model, nominal_op(), engine_options(0.1));
+  EXPECT_THROW(engine.run(ch::full_load_trace(0.1), ch::Power7PowerSpec{}, nullptr),
+               std::invalid_argument);
+  EXPECT_EQ(engine.steps_taken(), 0);
 }
 
 TEST(TransientEngine, StatsAccumulateAcrossRuns) {
