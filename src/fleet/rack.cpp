@@ -11,6 +11,7 @@
 #include "hydraulics/manifold.h"
 #include "hydraulics/pump.h"
 #include "numerics/contracts.h"
+#include "numerics/parallel.h"
 #include "thermal/transient.h"
 
 namespace brightsi::fleet {
@@ -81,13 +82,22 @@ std::vector<ChipEngine> build_engines(const RackSpec& rack) {
   return engines;
 }
 
-/// One pass over every loop's serial segments: splits each segment's flow
-/// at equal pressure drop, prices the coolant at the segment inlet through
-/// the rack's laws, calls `solve_chip` (engine index, operating point) ->
-/// (heat pickup W, peak K) for every live chip, and carries the mixed
-/// outlet forward. Shared by the steady solve and every replay step.
+/// One pass over every loop's serial segments, as a segment wavefront:
+/// wave s holds segment s of every loop that has one. Per wave, serially
+/// in loop order, it prices the coolant at each segment inlet through the
+/// rack's laws, splits the segment's flow at equal pressure drop and sets
+/// each live chip's operating point; then it calls `solve_chip` (engine
+/// index, operating point) -> (heat pickup W, peak K) for all of the
+/// wave's live chips on up to `threads` threads; then it reduces serially
+/// in the order of a loop-by-loop walk (loop ascending, members in rack
+/// order) and carries each loop's mixed outlet forward. Loops never
+/// interact and a segment depends only on its loop's previous segment, so
+/// every floating-point sum keeps its serial order and the result is
+/// bitwise the same at any thread count. `solve_chip` must be safe to
+/// call concurrently for distinct engines. Shared by the steady solve and
+/// every replay step.
 RackSolveResult walk_rack(
-    const RackSpec& rack, const std::vector<ChipEngine>& engines,
+    const RackSpec& rack, const std::vector<ChipEngine>& engines, int threads,
     const std::function<std::pair<double, double>(std::size_t,
                                                   const thermal::OperatingPoint&)>&
         solve_chip) {
@@ -96,51 +106,88 @@ RackSolveResult walk_rack(
   const thermal::CoolantProperties reference = rack.coolant_reference();
   const int loops = rack.loop_count();
   result.loops.resize(static_cast<std::size_t>(loops));
+  std::vector<double> t_in(static_cast<std::size_t>(loops), rack.loop_inlet_temperature_k);
+  int waves = 0;
   for (int l = 0; l < loops; ++l) {
-    RackLoopResult& loop = result.loops[static_cast<std::size_t>(l)];
-    loop.inlet_temperature_k = rack.loop_inlet_temperature_k;
-    double t_in = rack.loop_inlet_temperature_k;
-    const int segments = rack.segment_count(l);
-    for (int s = 0; s < segments; ++s) {
-      loop.segment_inlet_k.push_back(t_in);
+    result.loops[static_cast<std::size_t>(l)].inlet_temperature_k =
+        rack.loop_inlet_temperature_k;
+    waves = std::max(waves, rack.segment_count(l));
+  }
+
+  /// One loop's segment within the current wave.
+  struct Segment {
+    int loop = 0;
+    thermal::CoolantProperties coolant;  ///< priced at the segment inlet
+    std::vector<std::size_t> members;    ///< engine indices, rack order
+  };
+  for (int s = 0; s < waves; ++s) {
+    std::vector<Segment> segments;
+    std::vector<std::size_t> live;  // the wave's chip solves, reduction order
+    std::vector<thermal::OperatingPoint> ops;
+    for (int l = 0; l < loops; ++l) {
+      if (s >= rack.segment_count(l)) {
+        continue;
+      }
+      RackLoopResult& loop = result.loops[static_cast<std::size_t>(l)];
+      const double segment_inlet_k = t_in[static_cast<std::size_t>(l)];
+      loop.segment_inlet_k.push_back(segment_inlet_k);
+      Segment& segment = segments.emplace_back();
+      segment.loop = l;
       std::vector<hydraulics::ParallelBranch> branches;
-      std::vector<std::size_t> members;
       for (std::size_t i = 0; i < engines.size(); ++i) {
         if (engines[i].chip->loop == l && engines[i].chip->segment == s) {
-          members.push_back(i);
+          segment.members.push_back(i);
           branches.push_back(engines[i].branch);
         }
       }
-      const thermal::CoolantProperties coolant = rack.coolant_laws.at(reference, t_in);
+      segment.coolant = rack.coolant_laws.at(reference, segment_inlet_k);
       const hydraulics::GroupSplit split = hydraulics::split_equal_pressure(
-          rack.loop_flow_m3_per_s, branches, coolant.dynamic_viscosity_pa_s);
+          rack.loop_flow_m3_per_s, branches, segment.coolant.dynamic_viscosity_pa_s);
       loop.pressure_drop_pa += split.common_pressure_drop_pa;
 
-      double segment_heat_w = 0.0;
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        const std::size_t index = members[m];
+      for (std::size_t m = 0; m < segment.members.size(); ++m) {
+        const std::size_t index = segment.members[m];
         const RackChip& c = *engines[index].chip;
         RackChipResult& chip_result = result.chips[index];
         chip_result.name = c.name;
         chip_result.loop = l;
         chip_result.segment = s;
         chip_result.blocked = c.blocked;
-        chip_result.inlet_temperature_k = t_in;
+        chip_result.inlet_temperature_k = segment_inlet_k;
         chip_result.flow_m3_per_s = split.per_group_flow_m3_per_s[m];
         chip_result.flow_fraction = split.fraction[m];
-        chip_result.outlet_temperature_k = t_in;
-        if (c.blocked) {
-          continue;  // valve closed and powered off: no flow, no solve
+        chip_result.outlet_temperature_k = segment_inlet_k;
+        if (!c.blocked) {  // a blocked chip is valve closed and powered off: no solve
+          live.push_back(index);
+          ops.push_back(c.system.loop_operating_point(chip_result.flow_m3_per_s,
+                                                      segment_inlet_k, rack.coolant_laws));
         }
-        const thermal::OperatingPoint op = c.system.loop_operating_point(
-            chip_result.flow_m3_per_s, t_in, rack.coolant_laws);
-        const auto [heat_w, peak_k] = solve_chip(index, op);
+      }
+    }
+
+    std::vector<std::pair<double, double>> solved(live.size());
+    numerics::parallel_for(live.size(), threads, [&](std::size_t k, int) {
+      solved[k] = solve_chip(live[k], ops[k]);
+    });
+
+    std::size_t k = 0;
+    for (const Segment& segment : segments) {
+      RackLoopResult& loop = result.loops[static_cast<std::size_t>(segment.loop)];
+      const thermal::CoolantProperties& coolant = segment.coolant;
+      double& segment_inlet_k = t_in[static_cast<std::size_t>(segment.loop)];
+      double segment_heat_w = 0.0;
+      for (const std::size_t index : segment.members) {
+        if (engines[index].chip->blocked) {
+          continue;
+        }
+        const auto [heat_w, peak_k] = solved[k++];
+        RackChipResult& chip_result = result.chips[index];
         chip_result.heat_absorbed_w = heat_w;
         chip_result.peak_temperature_k = peak_k;
         if (chip_result.flow_m3_per_s > 0.0) {
           chip_result.outlet_temperature_k =
-              t_in + heat_w / (coolant.volumetric_heat_capacity_j_per_m3_k *
-                               chip_result.flow_m3_per_s);
+              segment_inlet_k + heat_w / (coolant.volumetric_heat_capacity_j_per_m3_k *
+                                          chip_result.flow_m3_per_s);
         }
         segment_heat_w += heat_w;
         result.peak_temperature_k = std::max(result.peak_temperature_k, peak_k);
@@ -148,10 +195,14 @@ RackSolveResult walk_rack(
       loop.heat_absorbed_w += segment_heat_w;
       // Flow-weighted enthalpy mix of the segment's branch outlets — the
       // next serial segment's plenum inlet.
-      t_in += segment_heat_w /
-              (coolant.volumetric_heat_capacity_j_per_m3_k * rack.loop_flow_m3_per_s);
+      segment_inlet_k += segment_heat_w / (coolant.volumetric_heat_capacity_j_per_m3_k *
+                                           rack.loop_flow_m3_per_s);
     }
-    loop.outlet_temperature_k = t_in;
+  }
+
+  for (int l = 0; l < loops; ++l) {
+    RackLoopResult& loop = result.loops[static_cast<std::size_t>(l)];
+    loop.outlet_temperature_k = t_in[static_cast<std::size_t>(l)];
     loop.pump_power_w = hydraulics::pumping_power_w(
         loop.pressure_drop_pa, rack.loop_flow_m3_per_s, rack.pump_efficiency);
     result.pump_power_w += loop.pump_power_w;
@@ -255,10 +306,10 @@ thermal::CoolantProperties RackSpec::coolant_reference() const {
   return chips.front().system.thermal_operating_point().coolant;
 }
 
-RackSolveResult solve_rack_steady(const RackSpec& rack) {
+RackSolveResult solve_rack_steady(const RackSpec& rack, int threads) {
   rack.validate();
   const std::vector<ChipEngine> engines = build_engines(rack);
-  return walk_rack(rack, engines,
+  return walk_rack(rack, engines, threads,
                    [&](std::size_t index, const thermal::OperatingPoint& op) {
                      const thermal::ThermalSolution sol =
                          engines[index].model->solve_steady(engines[index].pointers, op);
@@ -266,8 +317,8 @@ RackSolveResult solve_rack_steady(const RackSpec& rack) {
                    });
 }
 
-FleetReplayResult replay_fleet_trace(const RackSpec& rack,
-                                     const FleetReplayOptions& options) {
+FleetReplayResult replay_fleet_trace(const RackSpec& rack, const FleetReplayOptions& options,
+                                     int threads) {
   rack.validate();
   ensure_positive(options.dt_s, "replay dt");
   ensure(options.steps > 0, "replay steps must be positive");
@@ -307,7 +358,7 @@ FleetReplayResult replay_fleet_trace(const RackSpec& rack,
       }
     }
     last_step = walk_rack(
-        rack, engines, [&](std::size_t index, const thermal::OperatingPoint& op) {
+        rack, engines, threads, [&](std::size_t index, const thermal::OperatingPoint& op) {
           const thermal::ThermalSolution sol =
               engines[index].transient->step(options.dt_s, engines[index].pointers, op);
           return std::pair{sol.fluid_heat_absorbed_w, sol.peak_temperature_k};

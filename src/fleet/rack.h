@@ -31,6 +31,16 @@
 // cycles), re-walking the loop coupling every step. Each step is driven by
 // the trace's mean phase over the step (WorkloadTrace::mean_phase), so
 // phases shorter than the step still enter the energy integral exactly.
+//
+// Parallelism. Both entry points walk the loops as a segment wavefront:
+// wave s holds segment s of every loop. A segment depends only on its
+// loop's previous segment and loops never interact, so once a wave's
+// inlets and splits are known its chips are independent and are solved on
+// up to `threads` threads (numerics/parallel.h), each with its private
+// solve context or transient engine over the shared const ThermalModel.
+// The heat sums, outlets, peak and inlet carry-forward are then reduced
+// serially in loop-by-loop order, so every floating-point sum keeps its
+// order and results are bitwise identical at any thread count.
 #ifndef BRIGHTSI_FLEET_RACK_H
 #define BRIGHTSI_FLEET_RACK_H
 
@@ -91,6 +101,8 @@ struct RackChipResult {
   double heat_absorbed_w = 0.0;       ///< coolant heat pickup of this chip
   double outlet_temperature_k = 0.0;  ///< enthalpy-consistent branch outlet
   double peak_temperature_k = 0.0;
+
+  friend bool operator==(const RackChipResult&, const RackChipResult&) = default;
 };
 
 /// Per-loop outputs of a rack solve.
@@ -101,6 +113,8 @@ struct RackLoopResult {
   double pump_power_w = 0.0;              ///< dp * Q / eta for this loop
   double heat_absorbed_w = 0.0;
   std::vector<double> segment_inlet_k;    ///< plenum inlet per serial segment
+
+  friend bool operator==(const RackLoopResult&, const RackLoopResult&) = default;
 };
 
 /// Result of one steady rack solve.
@@ -115,12 +129,17 @@ struct RackSolveResult {
   /// Max over loops of |sum of chip heat pickups - loop enthalpy rise|
   /// relative to the pickup total — rounding-level by construction.
   double energy_balance_rel_error = 0.0;
+
+  friend bool operator==(const RackSolveResult&, const RackSolveResult&) = default;
 };
 
 /// Steady solve of the whole rack: walks every loop's serial segments,
 /// splitting flow at equal pressure drop per segment and carrying the
-/// mixed outlet forward as the next segment's inlet. Deterministic.
-[[nodiscard]] RackSolveResult solve_rack_steady(const RackSpec& rack);
+/// mixed outlet forward as the next segment's inlet. Each segment wave's
+/// chip solves run on up to `threads` threads (>= 1); the result is
+/// bitwise identical at any thread count, and a failing chip solve
+/// rethrows on the calling thread the same error as a serial solve.
+[[nodiscard]] RackSolveResult solve_rack_steady(const RackSpec& rack, int threads = 1);
 
 /// Staggered workload replay controls. The trace cycles (modulo its total
 /// duration), so any horizon is valid.
@@ -140,15 +159,21 @@ struct FleetReplayResult {
   double max_inlet_rise_k = 0.0;         ///< final step
   bool inlet_monotonic = true;           ///< final step
   std::vector<RackChipResult> final_chips;  ///< final-step snapshot, rack order
+
+  friend bool operator==(const FleetReplayResult&, const FleetReplayResult&) = default;
 };
 
 /// Transient replay of `options.trace` across the fleet: every step
 /// re-walks the loop coupling (segment inlets from the upstream chips'
 /// states of the same step) and advances each live chip's engine by one
 /// backward-Euler step under the trace's mean phase over the chip's offset
-/// step interval. Deterministic.
+/// step interval. Each segment wave's chip steps run on up to `threads`
+/// threads (>= 1); the result is bitwise identical at any thread count,
+/// and a failing chip step rethrows on the calling thread the same error
+/// as a serial replay.
 [[nodiscard]] FleetReplayResult replay_fleet_trace(const RackSpec& rack,
-                                                   const FleetReplayOptions& options);
+                                                   const FleetReplayOptions& options,
+                                                   int threads = 1);
 
 /// A demo rack of `chip_count` chips derived from `base`: chips
 /// round-robin across `loop_count` loops, loop positions round-robin

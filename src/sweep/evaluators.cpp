@@ -1,12 +1,15 @@
 #include "sweep/evaluators.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "chip/power7.h"
 #include "core/cosim.h"
 #include "core/mission.h"
+#include "core/report.h"
 #include "fleet/rack.h"
 #include "flowcell/cell_array.h"
 #include "hydraulics/pump.h"
@@ -18,6 +21,21 @@
 namespace brightsi::sweep {
 
 namespace {
+
+/// An integer scenario knob (sweep values are doubles): `name`'s value, or
+/// `fallback` when unset. Throws a named std::invalid_argument — the row
+/// becomes a failed row — on a non-finite, non-integral or out-of-int-range
+/// value instead of truncating it.
+int integer_knob(const ScenarioSpec& scenario, const std::string& name, double fallback) {
+  const double value = scenario.get(name).value_or(fallback);
+  if (!std::isfinite(value) || value != std::trunc(value) ||
+      value < static_cast<double>(std::numeric_limits<int>::min()) ||
+      value > static_cast<double>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument(name + " must be an integer in int range, got " +
+                                core::format_shortest(value));
+  }
+  return static_cast<int>(value);
+}
 
 /// The mission workload presets selectable from a numeric scenario
 /// parameter (sweep values are doubles).
@@ -45,11 +63,10 @@ chip::WorkloadTrace mission_workload(int kind, int repeats) {
 fleet::RackSpec rack_from_scenario(const core::SystemConfig& config,
                                    const ScenarioSpec& scenario) {
   fleet::RackSpec rack = fleet::make_demo_rack(
-      config, static_cast<int>(scenario.get("rack_chips").value_or(4.0)),
-      static_cast<int>(scenario.get("rack_loops").value_or(1.0)),
-      static_cast<int>(scenario.get("rack_segments").value_or(2.0)),
+      config, integer_knob(scenario, "rack_chips", 4.0),
+      integer_knob(scenario, "rack_loops", 1.0), integer_knob(scenario, "rack_segments", 2.0),
       scenario.get("rack_hetero").value_or(0.0) != 0.0,
-      static_cast<int>(scenario.get("rack_blocked").value_or(0.0)));
+      integer_knob(scenario, "rack_blocked", 0.0));
   rack.loop_flow_m3_per_s = scenario.get("rack_flow_ml_min").value_or(676.0) * 1e-6 / 60.0;
   rack.loop_inlet_temperature_k = scenario.get("rack_inlet_c").value_or(26.85) + 273.15;
   rack.coolant_laws.temperature_dependent =
@@ -192,9 +209,8 @@ SweepEvaluator mission_evaluator() {
                     WorkerState& worker) {
     core::MissionConfig mission;
     mission.system = config;
-    mission.workload = mission_workload(
-        static_cast<int>(scenario.get("workload_kind").value_or(1.0)),
-        static_cast<int>(scenario.get("workload_repeats").value_or(1.0)));
+    mission.workload = mission_workload(integer_knob(scenario, "workload_kind", 1.0),
+                                        integer_knob(scenario, "workload_repeats", 1.0));
     mission.reservoir.tank_volume_m3 = scenario.get("tank_ml").value_or(5.0) * 1e-6;
     mission.reservoir.total_vanadium_mol_per_m3 = 2001.0;
     mission.reservoir.chemistry = config.chemistry;
@@ -284,9 +300,9 @@ SweepEvaluator fleet_evaluator() {
                        "inlet_monotonic", "pump_w",          "fluid_heat_w",
                        "flow_frac_min",   "flow_frac_max",   "energy_err"};
   evaluator.fn = [](const core::SystemConfig& config, const ScenarioSpec& scenario,
-                    WorkerState&) {
+                    WorkerState& worker) {
     const fleet::RackSpec rack = rack_from_scenario(config, scenario);
-    const fleet::RackSolveResult result = fleet::solve_rack_steady(rack);
+    const fleet::RackSolveResult result = fleet::solve_rack_steady(rack, worker.row_threads);
     int blocked = 0;
     double frac_min = 1.0;
     double frac_max = 0.0;
@@ -327,15 +343,15 @@ SweepEvaluator fleet_replay_evaluator() {
                        "max_peak_c", "mean_pump_w", "heat_kj",
                        "max_inlet_rise_c", "inlet_monotonic"};
   evaluator.fn = [](const core::SystemConfig& config, const ScenarioSpec& scenario,
-                    WorkerState&) {
+                    WorkerState& worker) {
     const fleet::RackSpec rack = rack_from_scenario(config, scenario);
     fleet::FleetReplayOptions options;
-    options.trace = mission_workload(
-        static_cast<int>(scenario.get("workload_kind").value_or(1.0)),
-        static_cast<int>(scenario.get("workload_repeats").value_or(1.0)));
+    options.trace = mission_workload(integer_knob(scenario, "workload_kind", 1.0),
+                                     integer_knob(scenario, "workload_repeats", 1.0));
     options.dt_s = scenario.get("rack_dt_s").value_or(0.05);
-    options.steps = static_cast<int>(scenario.get("rack_steps").value_or(20.0));
-    const fleet::FleetReplayResult result = fleet::replay_fleet_trace(rack, options);
+    options.steps = integer_knob(scenario, "rack_steps", 20.0);
+    const fleet::FleetReplayResult result =
+        fleet::replay_fleet_trace(rack, options, worker.row_threads);
     return std::vector<double>{
         static_cast<double>(rack.chips.size()),
         static_cast<double>(result.steps),

@@ -1,10 +1,12 @@
 #include "sweep/execution.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 
+#include "numerics/parallel.h"
 #include "sweep/result_store.h"
 #include "sweep/scenario_hash.h"
 
@@ -12,34 +14,19 @@ namespace brightsi::sweep {
 
 namespace {
 
-/// Spawns one thread per worker (capped by the item count) over an
-/// atomic-index loop; thread t carries workers[t], so a persistent worker
-/// vector keeps its structure caches across calls. The calling thread
-/// participates as worker 0.
-template <typename Fn>
-void run_worker_pool(std::vector<WorkerState>& workers, std::size_t item_count, Fn&& fn) {
-  std::atomic<std::size_t> next{0};
-  auto loop = [&](WorkerState& state) {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= item_count) {
-        return;
-      }
-      fn(i, state);
-    }
-  };
-  const std::size_t thread_count = std::min(workers.size(), item_count);
-  std::vector<std::thread> pool;
-  pool.reserve(thread_count > 0 ? thread_count - 1 : 0);
-  for (std::size_t t = 1; t < thread_count; ++t) {
-    pool.emplace_back(loop, std::ref(workers[t]));
+/// One persistent WorkerState per pool thread. Each worker's row budget
+/// shares the machine's cores among the workers, so an evaluator that
+/// parallelizes inside a row (the fleet rack walk) never oversubscribes
+/// an N-worker sweep.
+std::vector<WorkerState> make_workers(const SweepOptions& options) {
+  std::vector<WorkerState> workers(static_cast<std::size_t>(resolve_thread_count(options)),
+                                   WorkerState(options.reuse_structures));
+  const int row_threads = std::max(
+      1, static_cast<int>(std::thread::hardware_concurrency() / workers.size()));
+  for (WorkerState& worker : workers) {
+    worker.row_threads = row_threads;
   }
-  if (!workers.empty()) {
-    loop(workers[0]);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
+  return workers;
 }
 
 void sum_worker_caches(const std::vector<WorkerState>& workers, ExecutionStats& stats) {
@@ -53,9 +40,7 @@ void sum_worker_caches(const std::vector<WorkerState>& workers, ExecutionStats& 
 
 class LocalBackend final : public ExecutionBackend {
  public:
-  explicit LocalBackend(SweepOptions options)
-      : workers_(static_cast<std::size_t>(resolve_thread_count(options)),
-                 WorkerState(options.reuse_structures)) {}
+  explicit LocalBackend(SweepOptions options) : workers_(make_workers(options)) {}
 
   [[nodiscard]] const char* name() const override { return "local"; }
   [[nodiscard]] int thread_count() const override {
@@ -66,8 +51,11 @@ class LocalBackend final : public ExecutionBackend {
                const std::vector<ScenarioSpec>& scenarios,
                std::vector<ScenarioResult>& rows) override {
     rows.resize(scenarios.size());
-    run_worker_pool(workers_, scenarios.size(), [&](std::size_t i, WorkerState& state) {
-      rows[i] = evaluate_scenario(base, evaluator, scenarios[i], state);
+    // Pool thread t carries workers_[t], so the persistent workers keep
+    // their structure caches across calls.
+    numerics::parallel_for(scenarios.size(), thread_count(), [&](std::size_t i, int t) {
+      rows[i] = evaluate_scenario(base, evaluator, scenarios[i],
+                                  workers_[static_cast<std::size_t>(t)]);
     });
     stats_.scheduled += static_cast<long long>(scenarios.size());
     stats_.evaluated += static_cast<long long>(scenarios.size());
@@ -88,8 +76,7 @@ class ShardBackend final : public ExecutionBackend {
  public:
   explicit ShardBackend(ShardOptions options)
       : options_(std::move(options)),
-        workers_(static_cast<std::size_t>(resolve_thread_count(options_.local)),
-                 WorkerState(options_.local.reuse_structures)) {
+        workers_(make_workers(options_.local)) {
     if (options_.store_dir.empty()) {
       throw std::invalid_argument("shard backend needs a store directory");
     }
@@ -144,7 +131,7 @@ class ShardBackend final : public ExecutionBackend {
     std::atomic<long long> evaluated{0};
     std::atomic<long long> stolen_leases{0};
     std::atomic<long long> pending{0};
-    run_worker_pool(workers_, work.size(), [&](std::size_t k, WorkerState& state) {
+    numerics::parallel_for(work.size(), thread_count(), [&](std::size_t k, int t) {
       const std::size_t i = work[k];
       const ScenarioSpec& scenario = scenarios[i];
       const ScenarioHash& hash = hashes[i];
@@ -181,7 +168,8 @@ class ShardBackend final : public ExecutionBackend {
         stolen_leases.fetch_add(1);
         store_->journal("lease_steal", scenario.name);
       }
-      ScenarioResult row = evaluate_scenario(base, evaluator, scenario, state);
+      ScenarioResult row = evaluate_scenario(base, evaluator, scenario,
+                                             workers_[static_cast<std::size_t>(t)]);
       store_->append(hash, row);  // durable before the lease drops
       store_->release(hash);
       rows[i] = std::move(row);

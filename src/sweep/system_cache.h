@@ -88,6 +88,11 @@ struct WorkerState {
 
   ThermalModelCache thermal_models;
   MissionTrajectoryCache mission_trajectories;
+  /// Threads an evaluator may use inside one row (the fleet rack walk's
+  /// chip solves). The execution backends set it once, at construction,
+  /// to max(1, hardware concurrency / worker count); rows are
+  /// byte-identical at any value.
+  int row_threads = 1;
 };
 
 }  // namespace brightsi::sweep

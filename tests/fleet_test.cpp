@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -409,6 +410,104 @@ TEST(FleetReplay, PhasesShorterThanTheStepEnterTheEnergyIntegral) {
   EXPECT_NEAR(phased.heat_absorbed_j, flat.heat_absorbed_j, 1e-9 * flat.heat_absorbed_j);
   EXPECT_NEAR(phased.max_peak_temperature_k, flat.max_peak_temperature_k,
               1e-9 * flat.max_peak_temperature_k);
+}
+
+// ------------------------------------------------- parallel segment waves
+/// Seven chips on two loops of uneven length, with mixed one-/two-die
+/// segments, temperature-dependent coolant, one blocked chip and staggered
+/// workloads: loop 0 holds segments {chip0, chip4 (blocked, two-die)},
+/// {chip2}, {chip6 (two-die)}; loop 1 holds {chip1, chip5 (two-die)},
+/// {chip3}. Its segment waves carry 3, 2 and 1 live chips.
+fl::RackSpec wavefront_rack() {
+  fl::RackSpec rack = fl::make_demo_rack(fast_base(), 7, 2, 2, /*heterogeneous=*/true);
+  rack.chips[6].segment = 2;
+  rack.chips[4].blocked = true;
+  rack.coolant_laws.temperature_dependent = true;
+  rack.coolant_laws.reference_temperature_k = rack.loop_inlet_temperature_k;
+  for (std::size_t i = 0; i < rack.chips.size(); ++i) {
+    rack.chips[i].workload_offset_s = 0.3 * static_cast<double>(i);
+  }
+  rack.validate();
+  return rack;
+}
+
+fl::FleetReplayOptions wavefront_replay() {
+  fl::FleetReplayOptions options;
+  options.trace = ch::burst_trace(1);
+  options.dt_s = 0.07;
+  options.steps = 4;
+  return options;
+}
+
+TEST(RackWavefront, SteadySolveIsBitwiseIdenticalAtAnyThreadCount) {
+  const fl::RackSpec rack = wavefront_rack();
+  const fl::RackSolveResult serial = fl::solve_rack_steady(rack, 1);
+  // The rack is the shape the wavefront tests rely on.
+  ASSERT_EQ(serial.loops.size(), 2u);
+  EXPECT_EQ(serial.loops[0].segment_inlet_k.size(), 3u);
+  EXPECT_EQ(serial.loops[1].segment_inlet_k.size(), 2u);
+  EXPECT_EQ(serial.chips[4].flow_m3_per_s, 0.0);                              // blocked
+  EXPECT_GT(serial.chips[5].flow_fraction, serial.chips[1].flow_fraction);  // two-die
+
+  const fl::RackSolveResult parallel = fl::solve_rack_steady(rack, 8);
+  EXPECT_TRUE(parallel == serial);
+}
+
+TEST(RackWavefront, ReplayIsBitwiseIdenticalAtAnyThreadCount) {
+  const fl::RackSpec rack = wavefront_rack();
+  const fl::FleetReplayOptions options = wavefront_replay();
+  const fl::FleetReplayResult serial = fl::replay_fleet_trace(rack, options, 1);
+  ASSERT_EQ(serial.final_chips.size(), 7u);
+  for (const int threads : {2, 3, 8}) {
+    const fl::FleetReplayResult parallel = fl::replay_fleet_trace(rack, options, threads);
+    EXPECT_TRUE(parallel == serial) << "threads " << threads;
+    for (std::size_t i = 0; i < serial.final_chips.size(); ++i) {
+      EXPECT_TRUE(parallel.final_chips[i] == serial.final_chips[i])
+          << "threads " << threads << " chip " << i;
+    }
+  }
+}
+
+TEST(RackWavefront, RejectsFewerThanOneThread) {
+  const fl::RackSpec rack = wavefront_rack();
+  EXPECT_THROW((void)fl::solve_rack_steady(rack, 0), std::invalid_argument);
+  EXPECT_THROW((void)fl::replay_fleet_trace(rack, wavefront_replay(), 0),
+               std::invalid_argument);
+}
+
+/// The replay's error message, or "" when it does not throw.
+std::string replay_error(const fl::RackSpec& rack, int threads) {
+  try {
+    (void)fl::replay_fleet_trace(rack, wavefront_replay(), threads);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `rack` with chip `index`'s BiCGSTAB limited to one iteration, so its
+/// first transient step fails to converge.
+fl::RackSpec with_failing_chip(fl::RackSpec rack, std::size_t index) {
+  rack.chips[index].system.thermal_grid.solver.max_iterations = 1;
+  return rack;
+}
+
+TEST(RackWavefront, AFailingChipStepThrowsTheSerialErrorAtAnyThreadCount) {
+  // chip2 and chip3 form the second wave (loop 0 then loop 1), so both
+  // fail in one parallel solve; the lowest-index chip's error must win
+  // wherever its thread finishes, and reach the caller as the exception a
+  // serial replay throws.
+  const fl::RackSpec base = wavefront_rack();
+  const std::string chip2_error = replay_error(with_failing_chip(base, 2), 1);
+  const std::string chip3_error = replay_error(with_failing_chip(base, 3), 1);
+  ASSERT_NE(chip2_error.find("did not converge"), std::string::npos) << chip2_error;
+  ASSERT_NE(chip3_error.find("did not converge"), std::string::npos) << chip3_error;
+  ASSERT_NE(chip2_error, chip3_error);  // the texts tell the chips apart
+
+  const fl::RackSpec both = with_failing_chip(with_failing_chip(base, 3), 2);
+  EXPECT_EQ(replay_error(both, 1), chip2_error);
+  EXPECT_EQ(replay_error(both, 4), chip2_error);
+  EXPECT_EQ(replay_error(with_failing_chip(base, 3), 4), chip3_error);
 }
 
 // -------------------------------------------------------------- mean phase

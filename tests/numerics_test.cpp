@@ -1,7 +1,12 @@
 // Unit and property tests of the numerics substrate.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +17,7 @@
 #include "numerics/linear_solvers.h"
 #include "numerics/model_reduction.h"
 #include "numerics/multigrid.h"
+#include "numerics/parallel.h"
 #include "numerics/root_finding.h"
 #include "numerics/sparse_matrix.h"
 #include "numerics/statistics.h"
@@ -1084,6 +1090,59 @@ TEST(BlockArnoldi, StopsAtTheBasisCap) {
   const int added = nm::block_arnoldi_expand(basis, seeds, 5, 2, 1e-12, cycle);
   EXPECT_EQ(added, 2);
   EXPECT_EQ(basis.size(), 2);
+}
+
+// ------------------------------------------------------------ parallel_for
+TEST(ParallelFor, RunsEveryItemOnceOnABoundedThreadIndex) {
+  for (const int threads : {1, 2, 3, 8}) {
+    std::vector<int> runs(37, 0);
+    std::vector<int> thread_of(37, -1);
+    nm::parallel_for(runs.size(), threads, [&](std::size_t item, int thread) {
+      ++runs[item];  // each item owns its slot
+      thread_of[item] = thread;
+    });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i], 1) << "threads " << threads << " item " << i;
+      EXPECT_GE(thread_of[i], 0);
+      EXPECT_LT(thread_of[i], threads);
+    }
+  }
+}
+
+TEST(ParallelFor, FewerItemsThanThreadsUseOneThreadPerItemAtMost) {
+  std::vector<int> thread_of(2, -1);
+  nm::parallel_for(thread_of.size(), 8,
+                   [&](std::size_t item, int thread) { thread_of[item] = thread; });
+  EXPECT_LT(thread_of[0], 2);
+  EXPECT_LT(thread_of[1], 2);
+  nm::parallel_for(0, 8, [](std::size_t, int) { FAIL() << "no items, no calls"; });
+}
+
+TEST(ParallelFor, RejectsFewerThanOneThread) {
+  EXPECT_THROW(nm::parallel_for(4, 0, [](std::size_t, int) {}), std::invalid_argument);
+  EXPECT_THROW(nm::parallel_for(0, -1, [](std::size_t, int) {}), std::invalid_argument);
+}
+
+TEST(ParallelFor, TheLowestFailingItemsExceptionIsRethrownAtAnyThreadCount) {
+  // Item 3 fails late and item 7 at once, so with several threads item 7
+  // usually fails first; the rethrown error must still be item 3's — the
+  // one a serial loop throws — and it must arrive on the calling thread.
+  for (const int threads : {1, 2, 4, 8}) {
+    try {
+      nm::parallel_for(16, threads, [](std::size_t item, int) {
+        if (item == 3) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("item 3");
+        }
+        if (item == 7 || item == 11) {
+          throw std::runtime_error("item " + std::to_string(item));
+        }
+      });
+      FAIL() << "expected std::runtime_error at threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "item 3") << "threads " << threads;
+    }
+  }
 }
 
 }  // namespace

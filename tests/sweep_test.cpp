@@ -1,7 +1,9 @@
 // Tests of the scenario-sweep engine: plan expansion, scenario overrides,
 // runner determinism across thread counts, and cross-checks of the sweep
 // rows against direct evaluations of the underlying models.
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include <variant>
 
@@ -224,6 +226,46 @@ TEST(SweepRunner, FailedScenarioBecomesARowNotAnAbort) {
   EXPECT_FALSE(result.rows[0].error.empty());
   EXPECT_FALSE(result.rows[1].failed);
   EXPECT_EQ(result.failure_count(), 1);
+}
+
+/// The single row of `evaluator` run on one scenario setting `knob`.
+sw::ScenarioResult knob_row(const sw::SweepEvaluator& evaluator, const std::string& knob,
+                            double value) {
+  sw::SweepPlan plan;
+  plan.name = "integer_knob";
+  plan.base = co::power7_system_config();
+  plan.base.thermal_grid.axial_cells = 8;
+  plan.evaluator = evaluator;
+  sw::ScenarioSpec scenario;
+  scenario.name = knob;
+  scenario.set(knob, value);
+  plan.add(scenario);
+  const sw::SweepResult result = sw::SweepRunner({1}).run(plan);
+  return result.rows.at(0);
+}
+
+// Integer knobs arrive as doubles; a value that is not an exact int must
+// fail the row with an error naming the knob, never be truncated (4.5
+// chips ran as 4) or cast out of range (undefined behaviour).
+TEST(SweepIntegerKnobs, AFractionalRackChipCountFailsTheRow) {
+  const sw::ScenarioResult row = knob_row(sw::fleet_evaluator(), "rack_chips", 4.5);
+  ASSERT_TRUE(row.failed);
+  EXPECT_NE(row.error.find("rack_chips must be an integer"), std::string::npos) << row.error;
+  EXPECT_NE(row.error.find("4.5"), std::string::npos) << row.error;
+}
+
+TEST(SweepIntegerKnobs, ANanStepCountFailsTheRow) {
+  const sw::ScenarioResult row =
+      knob_row(sw::fleet_replay_evaluator(), "rack_steps", std::nan(""));
+  ASSERT_TRUE(row.failed);
+  EXPECT_NE(row.error.find("rack_steps must be an integer"), std::string::npos) << row.error;
+}
+
+TEST(SweepIntegerKnobs, AnOutOfIntRangeRepeatCountFailsTheRow) {
+  const sw::ScenarioResult row = knob_row(sw::mission_evaluator(), "workload_repeats", 1e12);
+  ASSERT_TRUE(row.failed);
+  EXPECT_NE(row.error.find("workload_repeats must be an integer"), std::string::npos)
+      << row.error;
 }
 
 TEST(SweepRegistry, PlansValidateAndMatchTheBenches) {
