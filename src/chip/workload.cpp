@@ -56,8 +56,11 @@ const WorkloadPhase& WorkloadTrace::phase_at(double t_s) const {
 
 WorkloadPhase WorkloadTrace::mean_phase(double t0_s, double t1_s) const {
   ensure_non_negative(t0_s, "mean_phase interval start");
-  ensure(t1_s > t0_s, "WorkloadTrace::mean_phase: interval end " + std::to_string(t1_s) +
-                          " s does not follow its start " + std::to_string(t0_s) + " s");
+  if (!(t1_s > t0_s)) {
+    throw std::invalid_argument("WorkloadTrace::mean_phase: interval end " +
+                                std::to_string(t1_s) + " s does not follow its start " +
+                                std::to_string(t0_s) + " s");
+  }
   const double cycle = std::accumulate(
       phases_.begin(), phases_.end(), 0.0,
       [](double sum, const WorkloadPhase& phase) { return sum + phase.duration_s; });

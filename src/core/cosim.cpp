@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/bus_search.h"
 #include "electrochem/constants.h"
 #include "hydraulics/pump.h"
 #include "numerics/contracts.h"
-#include "numerics/root_finding.h"
 
 namespace brightsi::core {
 
@@ -110,39 +110,16 @@ SupplyOperatingPoint IntegratedMpsocSystem::solve_supply(
   const double input_power = vrm_output_power_w / config_.vrm_spec.efficiency;
   op.vrm_loss_w = input_power - vrm_output_power_w;
 
-  const double ocv = array_->open_circuit_voltage();
-
   // The stable operating point is the highest bus voltage where the array
-  // sources the VRM input power: P_array(V) = V * I_array(V) rises from 0
-  // at OCV as V decreases; find the first crossing with input_power.
-  auto surplus = [&](double v) {
-    return v * array_current_with_profiles(v, group_profiles) - input_power;
-  };
-
-  const double v_hi = ocv - 1e-3;
-  if (surplus(v_hi) >= 0.0) {
-    op.bus_voltage_v = v_hi;  // demand met at (essentially) open circuit
-  } else {
-    // Scan downward for a bracketing voltage (the maximum-power point of
-    // the array bounds the search).
-    double v_lo = v_hi;
-    bool bracketed = false;
-    for (double v = v_hi - 0.05; v >= 0.2; v -= 0.05) {
-      if (surplus(v) >= 0.0) {
-        v_lo = v;
-        bracketed = true;
-        break;
-      }
-    }
-    if (!bracketed) {
-      op.feasible = false;
-      return op;  // array cannot deliver this power at any sane voltage
-    }
-    const auto root = numerics::find_root_brent(surplus, v_lo, v_hi, 1e-5,
-                                                1e-3 * std::max(input_power, 1.0), 64);
-    op.bus_voltage_v = root.root;
+  // sources the VRM input power (see find_bus_voltage).
+  const BusOperatingPoint bus = find_bus_voltage(
+      [&](double v) { return array_current_with_profiles(v, group_profiles); },
+      array_->open_circuit_voltage(), input_power, 0.2, 1e-3 * std::max(input_power, 1.0));
+  if (!bus.feasible) {
+    return op;  // array cannot deliver this power at any sane voltage
   }
-  op.array_current_a = array_current_with_profiles(op.bus_voltage_v, group_profiles);
+  op.bus_voltage_v = bus.voltage_v;
+  op.array_current_a = bus.current_a;
   op.array_power_w = op.bus_voltage_v * op.array_current_a;
   op.feasible = true;
   op.vrm_window_ok = op.bus_voltage_v >= config_.vrm_spec.min_input_voltage_v &&
@@ -173,22 +150,13 @@ CoSimReport IntegratedMpsocSystem::run() const {
   // the caches run at their configured density).
   const double rail_power = floorplans_.front().cache_power();
 
-  std::vector<std::vector<double>> group_profiles;  // empty = isothermal
-  std::vector<std::vector<double>> supplied_profiles;
+  std::vector<std::vector<double>> group_profiles;
   double previous_peak = 0.0;
   for (int it = 1; it <= config_.max_cosim_iterations; ++it) {
     report.iterations = it;
 
     report.thermal = thermal_context_->solve_steady(die_floorplans, thermal_op);
     group_profiles = group_channel_profiles(report.thermal.channel_fluid_axial_k());
-    // The supply operating point is a pure function of the profiles (the
-    // rail demand is constant), so an iteration whose thermal field
-    // reproduced the previous one bit-for-bit reuses the previous solve —
-    // the common case once the fixed point is reached.
-    if (it == 1 || group_profiles != supplied_profiles) {
-      report.supply = solve_supply(rail_power, group_profiles);
-      supplied_profiles = group_profiles;
-    }
 
     if (std::abs(report.thermal.peak_temperature_k - previous_peak) <
         config_.temperature_tolerance_k) {
@@ -201,6 +169,11 @@ CoSimReport IntegratedMpsocSystem::run() const {
     // iteration re-checks with identical inputs. (Throttling variants
     // mutate the floorplan and genuinely iterate.)
   }
+
+  // The supply operating point is a pure function of the final channel
+  // profiles (the rail demand is constant), so it is solved once, after
+  // the thermal loop.
+  report.supply = solve_supply(rail_power, group_profiles);
 
   report.peak_temperature_c =
       ec::constants::kelvin_to_celsius(report.thermal.peak_temperature_k);

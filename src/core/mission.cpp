@@ -7,10 +7,10 @@
 #include <utility>
 
 #include "core/binfile.h"
+#include "core/bus_search.h"
 #include "electrochem/constants.h"
 #include "flowcell/cell_array.h"
 #include "numerics/contracts.h"
-#include "numerics/root_finding.h"
 #include "pdn/vrm.h"
 #include "thermal/transient.h"
 
@@ -46,33 +46,17 @@ BusPoint solve_bus(const fc::FlowCellArray& array, const pdn::VrmSpec& vrm,
                    double rail_power_w, double inlet_k, double outlet_k) {
   const std::vector<double> profile = {inlet_k, (inlet_k + outlet_k) / 2.0, outlet_k};
   const double input_power = rail_power_w / vrm.efficiency;
-  const double ocv = array.open_circuit_voltage();
-
-  auto surplus = [&](double v) {
-    return v * array.current_at_voltage(v, profile) - input_power;
-  };
+  // The 0.3 V floor also declares a reservoir whose open-circuit voltage
+  // sits at or below it dead, before any evaluation.
+  const BusOperatingPoint bus = find_bus_voltage(
+      [&](double v) { return array.current_at_voltage(v, profile); },
+      array.open_circuit_voltage(), input_power, 0.3, 1e-3 * input_power);
   BusPoint point;
-  const double v_hi = ocv - 1e-3;
-  if (v_hi <= 0.3) {
-    return point;  // reservoir effectively dead
+  if (!bus.feasible) {
+    return point;  // dead reservoir or demand exceeds capability
   }
-  if (surplus(v_hi) >= 0.0) {
-    point.voltage_v = v_hi;
-  } else {
-    double v_lo = 0.0;
-    for (double v = v_hi - 0.05; v >= 0.3; v -= 0.05) {
-      if (surplus(v) >= 0.0) {
-        v_lo = v;
-        break;
-      }
-    }
-    if (v_lo == 0.0) {
-      return point;  // demand exceeds capability
-    }
-    point.voltage_v =
-        numerics::find_root_brent(surplus, v_lo, v_hi, 1e-5, 1e-3 * input_power, 64).root;
-  }
-  point.current_a = array.current_at_voltage(point.voltage_v, profile);
+  point.voltage_v = bus.voltage_v;
+  point.current_a = bus.current_a;
   point.ok = point.voltage_v >= vrm.min_input_voltage_v &&
              point.voltage_v <= vrm.max_input_voltage_v;
   return point;

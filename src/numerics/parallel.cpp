@@ -4,19 +4,21 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
 
-#include "numerics/contracts.h"
 
 namespace brightsi::numerics {
 
 void parallel_for(std::size_t count, int threads,
                   const std::function<void(std::size_t, int)>& fn) {
-  ensure(threads >= 1, "parallel_for needs at least one thread, got " +
-                           std::to_string(threads));
+  if (threads < 1) {
+    throw std::invalid_argument("parallel_for needs at least one thread, got " +
+                                std::to_string(threads));
+  }
   const std::size_t thread_count = std::min(static_cast<std::size_t>(threads), count);
   if (thread_count <= 1) {
     for (std::size_t i = 0; i < count; ++i) {

@@ -113,13 +113,15 @@ ThermalSolution TransientEngine::step(double dt_s,
                                       const OperatingPoint& operating_point) {
   std::optional<ThermalSolution> solution;
   if (rom_ != nullptr) {
-    ensure(operating_point == operating_point_,
-           "reduced-order transient engine stepped at an operating point other than the "
-           "one its basis was projected at (flow " +
-               std::to_string(operating_point.total_flow_m3_per_s) + " vs " +
-               std::to_string(operating_point_.total_flow_m3_per_s) + " m^3/s, inlet " +
-               std::to_string(operating_point.inlet_temperature_k) + " vs " +
-               std::to_string(operating_point_.inlet_temperature_k) + " K)");
+    if (!(operating_point == operating_point_)) {
+      throw std::invalid_argument(
+          "reduced-order transient engine stepped at an operating point other than the "
+          "one its basis was projected at (flow " +
+          std::to_string(operating_point.total_flow_m3_per_s) + " vs " +
+          std::to_string(operating_point_.total_flow_m3_per_s) + " m^3/s, inlet " +
+          std::to_string(operating_point.inlet_temperature_k) + " vs " +
+          std::to_string(operating_point_.inlet_temperature_k) + " K)");
+    }
     solution = rom_->try_step(state_, floorplans, dt_s);
   }
   if (!solution) {

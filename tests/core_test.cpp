@@ -3,14 +3,20 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/bus_search.h"
 #include "core/cosim.h"
 #include "core/report.h"
 #include "core/system_config.h"
 #include "core/throttling.h"
+#include "numerics/root_finding.h"
 
 namespace co = brightsi::core;
 namespace ch = brightsi::chip;
@@ -140,6 +146,103 @@ TEST(CoSim, InfeasibleWhenRailDemandExceedsArray) {
   co::IntegratedMpsocSystem system(config);
   const auto r = system.run();
   EXPECT_FALSE(r.supply.feasible);
+}
+
+// --------------------------------------------------------------- bus search
+// Synthetic array: I(V) = 40 A/V * (1 V - V), so P(V) = 40 V (1 - V) peaks
+// at 10 W at 0.5 V. A 6 W demand crosses at V = 0.5 + sqrt(0.1) = 0.816 V;
+// the 0.05 V scan from 0.999 V meets it at 0.799 V, its fifth evaluation.
+constexpr double kSyntheticOcv = 1.0;
+double synthetic_current(double v) { return 40.0 * (kSyntheticOcv - v); }
+
+TEST(BusSearch, TheMemoAnswersBrentsBracketEndsAndTheFinalCurrent) {
+  std::vector<double> calls;
+  const co::BusOperatingPoint bus = co::find_bus_voltage(
+      [&](double v) {
+        calls.push_back(v);
+        return synthetic_current(v);
+      },
+      kSyntheticOcv, 6.0, 0.2, 1e-3 * 6.0);
+  ASSERT_TRUE(bus.feasible);
+  EXPECT_NEAR(bus.voltage_v, 0.5 + std::sqrt(0.1), 1e-4);
+  EXPECT_EQ(bus.current_a, synthetic_current(bus.voltage_v));
+  EXPECT_EQ(std::set<double>(calls.begin(), calls.end()).size(), calls.size())
+      << "a voltage was evaluated twice";
+
+  // Without the memo the search would evaluate the scan (5 voltages), both
+  // bracket ends again, each Brent iteration but the converging one, and
+  // the final current. With it only the scan and Brent's interior points run.
+  ASSERT_GE(calls.size(), 5U);
+  const double v_hi = calls[0];
+  const double v_lo = calls[4];
+  EXPECT_EQ(v_hi, kSyntheticOcv - 1e-3);
+  EXPECT_GE(v_lo * synthetic_current(v_lo), 6.0);
+  const auto brent = brightsi::numerics::find_root_brent(
+      [](double v) { return v * synthetic_current(v) - 6.0; }, v_lo, v_hi, 1e-5, 6e-3, 64);
+  ASSERT_TRUE(brent.converged);
+  EXPECT_EQ(brent.root, bus.voltage_v);
+  EXPECT_EQ(calls.size(), 5U + static_cast<std::size_t>(brent.iterations - 1));
+}
+
+TEST(BusSearch, DemandMetAtOpenCircuitEvaluatesOnce) {
+  int calls = 0;
+  const co::BusOperatingPoint bus = co::find_bus_voltage(
+      [&](double v) {
+        ++calls;
+        return synthetic_current(v);
+      },
+      kSyntheticOcv, 0.0, 0.2, 1e-3);
+  ASSERT_TRUE(bus.feasible);
+  EXPECT_EQ(bus.voltage_v, kSyntheticOcv - 1e-3);
+  EXPECT_EQ(bus.current_a, synthetic_current(kSyntheticOcv - 1e-3));
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(BusSearch, DemandAboveTheMaximumPowerIsInfeasible) {
+  int calls = 0;
+  const co::BusOperatingPoint bus = co::find_bus_voltage(
+      [&](double v) {
+        ++calls;
+        return synthetic_current(v);
+      },
+      kSyntheticOcv, 20.0, 0.2, 1e-3 * 20.0);
+  EXPECT_FALSE(bus.feasible);
+  EXPECT_EQ(bus.voltage_v, 0.0);
+  EXPECT_EQ(bus.current_a, 0.0);
+  // 0.999 V, then 0.949 V down to the last step above the 0.2 V floor.
+  EXPECT_EQ(calls, 16);
+}
+
+TEST(BusSearch, OpenCircuitAtTheFloorIsInfeasibleWithoutAnEvaluation) {
+  int calls = 0;
+  const co::BusOperatingPoint bus = co::find_bus_voltage(
+      [&](double v) {
+        ++calls;
+        return synthetic_current(v);
+      },
+      0.3005, 1.0, 0.3, 1e-3);
+  EXPECT_FALSE(bus.feasible);
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(BusSearch, ANonFiniteCurrentInsideTheBracketIsANamedError) {
+  // Finite at every scan voltage, NaN around the crossing, so Brent's first
+  // interior point inside [0.799, 0.999] V hits it.
+  const auto current = [](double v) {
+    return (v > 0.80 && v < 0.84) ? std::numeric_limits<double>::quiet_NaN()
+                                  : synthetic_current(v);
+  };
+  try {
+    (void)co::find_bus_voltage(current, kSyntheticOcv, 6.0, 0.2, 1e-3 * 6.0);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bus voltage search: array current nan A at 0.8"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("is not finite (bracket [0.799000, 0.999000] V, last residual "),
+              std::string::npos)
+        << what;
+  }
 }
 
 // --------------------------------------------------------------- throttling
