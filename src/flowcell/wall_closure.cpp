@@ -17,68 +17,56 @@ namespace ec = brightsi::electrochem;
 constexpr double kFloor = ec::kConcentrationFloorMolPerM3;
 constexpr double kBracketSafety = 0.999;
 
-/// Everything needed to evaluate V_model(i_total) at one station.
+/// Everything needed to evaluate V_model(i_total) at one station. The
+/// floored bulk concentrations and both bulk Nernst potentials do not
+/// depend on the current, so they are computed once at construction and
+/// shared by every root-finder evaluation.
 struct StationModel {
+  StationModel(const ClosureParameters& params, const WallConcentrations& wall, double nf)
+      : p(params),
+        w(wall),
+        n_f(nf),
+        an_red_b(std::max(wall.anode_reduced, kFloor)),
+        an_ox_b(std::max(wall.anode_oxidized, kFloor)),
+        cat_ox_b(std::max(wall.cathode_oxidized, kFloor)),
+        cat_red_b(std::max(wall.cathode_reduced, kFloor)) {
+    const ec::RedoxCouple an_couple{"", p.anode_standard_potential_v, 1, p.anode_alpha};
+    const ec::RedoxCouple cat_couple{"", p.cathode_standard_potential_v, 1, p.cathode_alpha};
+    e_an = ec::nernst_potential(an_couple, an_ox_b, an_red_b, p.temperature_k);
+    e_cat = ec::nernst_potential(cat_couple, cat_ox_b, cat_red_b, p.temperature_k);
+  }
+
   const ClosureParameters& p;
   const WallConcentrations& w;
   double n_f;  // n F (single-electron couples here, n = 1)
+  double an_red_b;
+  double an_ox_b;
+  double cat_ox_b;
+  double cat_red_b;
+  double e_an = 0.0;   // bulk Nernst potentials
+  double e_cat = 0.0;
 
   [[nodiscard]] double cell_voltage_at(double i_total) const {
-    // Surface concentrations from the wall flux balance.
-    const double d_an = i_total / (n_f * p.anode_wall_mass_transfer_m_per_s);
-    const double d_cat = i_total / (n_f * p.cathode_wall_mass_transfer_m_per_s);
-    const double an_red_s = std::max(w.anode_reduced - d_an, kFloor);
-    const double an_ox_s = std::max(w.anode_oxidized + d_an, kFloor);
-    const double cat_ox_s = std::max(w.cathode_oxidized - d_cat, kFloor);
-    const double cat_red_s = std::max(w.cathode_reduced + d_cat, kFloor);
-
-    const double an_red_b = std::max(w.anode_reduced, kFloor);
-    const double an_ox_b = std::max(w.anode_oxidized, kFloor);
-    const double cat_ox_b = std::max(w.cathode_oxidized, kFloor);
-    const double cat_red_b = std::max(w.cathode_reduced, kFloor);
-
-    // Anode runs anodically at +i_total.
-    ec::ButlerVolmerState an_state;
-    an_state.exchange_current_density_a_per_m2 = p.anode_exchange_current_a_per_m2;
-    an_state.anodic_transfer_coefficient = p.anode_alpha;
-    an_state.temperature_k = p.temperature_k;
-    an_state.reduced_surface_ratio = an_red_s / an_red_b;
-    an_state.oxidized_surface_ratio = an_ox_s / an_ox_b;
-    const double eta_an = ec::overpotential_for_current(an_state, i_total);
-
-    // Cathode runs cathodically at -i_total.
-    ec::ButlerVolmerState cat_state;
-    cat_state.exchange_current_density_a_per_m2 = p.cathode_exchange_current_a_per_m2;
-    cat_state.anodic_transfer_coefficient = p.cathode_alpha;
-    cat_state.temperature_k = p.temperature_k;
-    cat_state.reduced_surface_ratio = cat_red_s / cat_red_b;
-    cat_state.oxidized_surface_ratio = cat_ox_s / cat_ox_b;
-    const double eta_cat = ec::overpotential_for_current(cat_state, -i_total);
-
-    const ec::RedoxCouple an_couple{"", p.anode_standard_potential_v, 1, p.anode_alpha};
-    const ec::RedoxCouple cat_couple{"", p.cathode_standard_potential_v, 1, p.cathode_alpha};
-    const double e_an = ec::nernst_potential(an_couple, an_ox_b, an_red_b, p.temperature_k);
-    const double e_cat = ec::nernst_potential(cat_couple, cat_ox_b, cat_red_b, p.temperature_k);
-
+    double eta_an = 0.0;
+    double eta_cat = 0.0;
+    kinetics(i_total, &eta_an, &eta_cat);
     return (e_cat + eta_cat) - (e_an + eta_an) -
            i_total * p.area_specific_resistance_ohm_m2;
   }
 
   void overpotentials(double i_total, double* eta_an, double* eta_cat,
                       double* local_ocv) const {
-    // Re-evaluates the pieces for reporting (same algebra as above).
-    const double an_red_b = std::max(w.anode_reduced, kFloor);
-    const double an_ox_b = std::max(w.anode_oxidized, kFloor);
-    const double cat_ox_b = std::max(w.cathode_oxidized, kFloor);
-    const double cat_red_b = std::max(w.cathode_reduced, kFloor);
-    const ec::RedoxCouple an_couple{"", p.anode_standard_potential_v, 1, p.anode_alpha};
-    const ec::RedoxCouple cat_couple{"", p.cathode_standard_potential_v, 1, p.cathode_alpha};
-    const double e_an = ec::nernst_potential(an_couple, an_ox_b, an_red_b, p.temperature_k);
-    const double e_cat = ec::nernst_potential(cat_couple, cat_ox_b, cat_red_b, p.temperature_k);
     *local_ocv = e_cat - e_an;
+    kinetics(i_total, eta_an, eta_cat);
+  }
 
+  /// Butler-Volmer overpotentials at `i_total`, with surface concentrations
+  /// from the wall flux balance.
+  void kinetics(double i_total, double* eta_an, double* eta_cat) const {
     const double d_an = i_total / (n_f * p.anode_wall_mass_transfer_m_per_s);
     const double d_cat = i_total / (n_f * p.cathode_wall_mass_transfer_m_per_s);
+
+    // Anode runs anodically at +i_total.
     ec::ButlerVolmerState an_state;
     an_state.exchange_current_density_a_per_m2 = p.anode_exchange_current_a_per_m2;
     an_state.anodic_transfer_coefficient = p.anode_alpha;
@@ -87,6 +75,7 @@ struct StationModel {
     an_state.oxidized_surface_ratio = std::max(w.anode_oxidized + d_an, kFloor) / an_ox_b;
     *eta_an = ec::overpotential_for_current(an_state, i_total);
 
+    // Cathode runs cathodically at -i_total.
     ec::ButlerVolmerState cat_state;
     cat_state.exchange_current_density_a_per_m2 = p.cathode_exchange_current_a_per_m2;
     cat_state.anodic_transfer_coefficient = p.cathode_alpha;
@@ -140,7 +129,7 @@ ClosureResult solve_wall_current(const ClosureParameters& params, const WallConc
       std::max(p.anode_exchange_current_a_per_m2, i0_floor);
   p.cathode_exchange_current_a_per_m2 =
       std::max(p.cathode_exchange_current_a_per_m2, i0_floor);
-  StationModel floored{p, wall, n_f};
+  const StationModel floored(p, wall, n_f);
 
   auto g = [&](double i_total) { return floored.cell_voltage_at(i_total) - cell_voltage_v; };
 

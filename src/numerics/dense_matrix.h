@@ -1,8 +1,8 @@
 // Small dense matrix with LU factorization (partial pivoting).
 //
 // Used as the reference solver in tests and for the few genuinely dense
-// sub-problems in the project (VRM Thevenin reductions, polynomial fits in
-// reporting). Not intended for large systems — use CsrMatrix + Krylov there.
+// sub-problems in the project (the PDN rail's bordered VRM tap system, the
+// reduced thermal operator, surrogate kernels). Not intended for large systems — use CsrMatrix + Krylov there.
 #ifndef BRIGHTSI_NUMERICS_DENSE_MATRIX_H
 #define BRIGHTSI_NUMERICS_DENSE_MATRIX_H
 

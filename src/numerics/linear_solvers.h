@@ -1,5 +1,6 @@
 // Preconditioned Krylov solvers for the sparse systems assembled by the
-// thermal (nonsymmetric: upwind advection) and PDN (SPD nodal) models.
+// thermal model (nonsymmetric: upwind advection) and by the tests' SPD
+// reference discretizations.
 //
 //  * solve_cg        — conjugate gradients, for symmetric positive definite A
 //  * solve_bicgstab  — BiCGSTAB, for general nonsymmetric A

@@ -2,11 +2,28 @@
 // cache rail that the microfluidic supply feeds through in-package VRMs
 // (paper Section III-A, Fig. 5/6/8).
 //
-// Nodal analysis on a uniform nx-by-ny mesh over the die: every edge
-// carries the effective rail resistance (all metal layers lumped into one
-// sheet), load blocks stamp current sinks at their nodes, and VRM outputs
-// are Thevenin sources (set-point voltage behind an output resistance).
-// The resulting SPD system G v = i is solved by ILU(0)-preconditioned CG.
+// Nodal analysis on a uniform nx-by-ny cell-centred mesh over the die:
+// every edge carries the effective rail resistance (all metal layers
+// lumped into one sheet), load blocks stamp current sinks at their nodes,
+// and VRM outputs are Thevenin sources (set-point voltage behind an output
+// resistance).
+//
+// The system is solved exactly, with no iteration. The mesh Laplacian L of
+// a uniform sheet with Neumann (insulated) edges is diagonalized by the 2D
+// DCT-II: the separable orthonormal cosine modes phi_p(ix) psi_q(iy) with
+// eigenvalues lambda_p + mu_q, lambda_p = 4 g_x sin^2(pi p / 2 nx). The k
+// taps couple only through their tap currents w, so
+//
+//   v = L+ (-f + P^T w) + c,
+//   [S + diag(R_out)  1] [w]   [s - P L+ (-f)]
+//   [      1^T        0] [c] = [    sum f     ]
+//
+// with f the node sinks, P the tap-node selector, S = P L+ P^T (formed by
+// separability over the distinct tap rows), s the set points and c the
+// mean rail level. One transform of the loads, one (k+1)-by-(k+1) dense
+// solve and one inverse transform give the node voltages; the solve then
+// applies the 5-point stencil plus the taps to the result and throws if
+// the relative residual exceeds 1e-9.
 #ifndef BRIGHTSI_PDN_POWER_GRID_H
 #define BRIGHTSI_PDN_POWER_GRID_H
 
@@ -65,14 +82,10 @@ class PowerGrid {
 
   /// Solves the rail with the given VRM taps. Loads are constant-current
   /// sinks I = P_block / nominal_voltage (the paper's 5 A at 1 V), split
-  /// over the nodes each block covers.
+  /// over the nodes each block covers. Several taps may share a node.
+  /// Throws std::runtime_error if the solution's relative residual exceeds
+  /// 1e-9; `solver_report` records 0 iterations and that residual.
   [[nodiscard]] PowerGridSolution solve(const std::vector<VrmTap>& taps) const;
-
-  /// Constant-power loads: iterates I = P / V(node) to a fixed point
-  /// (2-4 iterations in practice).
-  [[nodiscard]] PowerGridSolution solve_constant_power(const std::vector<VrmTap>& taps,
-                                                       int max_iterations = 8,
-                                                       double tolerance_v = 1e-6) const;
 
   /// Total current the loads draw at the nominal voltage.
   [[nodiscard]] double nominal_load_current_a() const;
@@ -87,9 +100,18 @@ class PowerGrid {
   double die_width_m_;
   double die_height_m_;
   numerics::Grid2<double> load_current_a_;  ///< per-node sink at nominal V
+  double conductance_x_ = 0.0;  ///< edge conductance along x (S)
+  double conductance_y_ = 0.0;
+  /// Orthonormal DCT-II bases, mode-major: basis_x_[p * nx + ix] = phi_p(ix).
+  std::vector<double> basis_x_;
+  std::vector<double> basis_y_;
+  /// 1D Neumann Laplacian eigenvalues lambda_p (x) and mu_q (y).
+  std::vector<double> eigen_x_;
+  std::vector<double> eigen_y_;
 
-  [[nodiscard]] PowerGridSolution solve_with_loads(
-      const std::vector<VrmTap>& taps, const numerics::Grid2<double>& loads) const;
+  [[nodiscard]] std::vector<double> to_spectral(const std::vector<double>& nodes) const;
+  [[nodiscard]] std::vector<double> to_nodes(const std::vector<double>& spectral) const;
+  void apply_laplacian_pseudoinverse(std::vector<double>& spectral) const;
   [[nodiscard]] int nearest_node_x(double x_m) const;
   [[nodiscard]] int nearest_node_y(double y_m) const;
 };

@@ -1,15 +1,12 @@
 #include "sweep/evaluators.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "chip/power7.h"
 #include "core/cosim.h"
 #include "core/mission.h"
-#include "core/report.h"
 #include "fleet/rack.h"
 #include "flowcell/cell_array.h"
 #include "hydraulics/pump.h"
@@ -21,21 +18,6 @@
 namespace brightsi::sweep {
 
 namespace {
-
-/// An integer scenario knob (sweep values are doubles): `name`'s value, or
-/// `fallback` when unset. Throws a named std::invalid_argument — the row
-/// becomes a failed row — on a non-finite, non-integral or out-of-int-range
-/// value instead of truncating it.
-int integer_knob(const ScenarioSpec& scenario, const std::string& name, double fallback) {
-  const double value = scenario.get(name).value_or(fallback);
-  if (!std::isfinite(value) || value != std::trunc(value) ||
-      value < static_cast<double>(std::numeric_limits<int>::min()) ||
-      value > static_cast<double>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument(name + " must be an integer in int range, got " +
-                                core::format_shortest(value));
-  }
-  return static_cast<int>(value);
-}
 
 /// The mission workload presets selectable from a numeric scenario
 /// parameter (sweep values are doubles).
@@ -177,7 +159,8 @@ SweepEvaluator rail_integrity_evaluator() {
     const pdn::PowerGrid grid(config.grid_spec, floorplan);
     std::vector<pdn::VrmTap> taps;
     if (const auto per_edge = scenario.get("edge_taps_per_side")) {
-      taps = pdn::make_edge_taps(static_cast<int>(*per_edge), floorplan.die_width(),
+      taps = pdn::make_edge_taps(integer_knob("edge_taps_per_side", *per_edge),
+                                 floorplan.die_width(),
                                  floorplan.die_height(), config.vrm_spec.set_point_v,
                                  config.vrm_spec.output_resistance_ohm);
     } else {

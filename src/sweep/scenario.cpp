@@ -1,8 +1,12 @@
 #include "sweep/scenario.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <variant>
+
+#include "core/report.h"
 
 namespace brightsi::sweep {
 
@@ -186,16 +190,16 @@ const std::vector<ParameterInfo>& parameter_registry() {
        nullptr, /*thermal_structural=*/false, apply_power_scale},
       {"vrm_count_x", "VRM tap columns over the die",
        [](core::SystemConfig& c, double v) {
-         c.vrm_spec.count_x = static_cast<int>(v);
+         c.vrm_spec.count_x = integer_knob("vrm_count_x", v);
        }},
       {"vrm_count_y", "VRM tap rows over the die",
        [](core::SystemConfig& c, double v) {
-         c.vrm_spec.count_y = static_cast<int>(v);
+         c.vrm_spec.count_y = integer_knob("vrm_count_y", v);
        }},
       {"vrm_grid_n", "square VRM tap grid: sets both count_x and count_y",
        [](core::SystemConfig& c, double v) {
-         c.vrm_spec.count_x = static_cast<int>(v);
-         c.vrm_spec.count_y = static_cast<int>(v);
+         c.vrm_spec.count_x = integer_knob("vrm_grid_n", v);
+         c.vrm_spec.count_y = c.vrm_spec.count_x;
        }},
       {"vrm_r_mohm", "per-tap VRM output resistance (mohm)",
        [](core::SystemConfig& c, double v) {
@@ -273,6 +277,20 @@ const ParameterInfo* find_parameter(const std::string& name) {
     }
   }
   return nullptr;
+}
+
+int integer_knob(const std::string& name, double value) {
+  if (!std::isfinite(value) || value != std::trunc(value) ||
+      value < static_cast<double>(std::numeric_limits<int>::min()) ||
+      value > static_cast<double>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument(name + " must be an integer in int range, got " +
+                                core::format_shortest(value));
+  }
+  return static_cast<int>(value);
+}
+
+int integer_knob(const ScenarioSpec& scenario, const std::string& name, double fallback) {
+  return integer_knob(name, scenario.get(name).value_or(fallback));
 }
 
 core::SystemConfig apply_scenario(const core::SystemConfig& base,

@@ -62,6 +62,16 @@ struct ParameterInfo {
 /// Looks up a parameter; nullptr when `name` is not registered.
 [[nodiscard]] const ParameterInfo* find_parameter(const std::string& name);
 
+/// An integer parameter (sweep values are doubles): `value` as an int.
+/// Throws a named std::invalid_argument — the row becomes a failed row — on
+/// a non-finite, non-integral or out-of-int-range value instead of
+/// truncating it.
+[[nodiscard]] int integer_knob(const std::string& name, double value);
+
+/// `name`'s value in `scenario`, or `fallback` when unset, checked as above.
+[[nodiscard]] int integer_knob(const ScenarioSpec& scenario, const std::string& name,
+                               double fallback);
+
 /// Applies the scenario's overrides to a copy of `base`. Throws
 /// std::invalid_argument on an unregistered parameter name.
 [[nodiscard]] core::SystemConfig apply_scenario(const core::SystemConfig& base,

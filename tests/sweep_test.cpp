@@ -268,6 +268,34 @@ TEST(SweepIntegerKnobs, AnOutOfIntRangeRepeatCountFailsTheRow) {
       << row.error;
 }
 
+// The VRM tap-count knobs: three SystemConfig appliers and the rail
+// evaluator's edge-fed baseline. 4.5 used to run a 4x4 grid.
+const char* const kVrmTapKnobs[] = {"vrm_count_x", "vrm_count_y", "vrm_grid_n",
+                                    "edge_taps_per_side"};
+
+TEST(SweepIntegerKnobs, AFractionalVrmTapCountFailsTheRow) {
+  for (const char* knob : kVrmTapKnobs) {
+    SCOPED_TRACE(knob);
+    EXPECT_FALSE(knob_row(sw::rail_integrity_evaluator(), knob, 4.0).failed);
+    const sw::ScenarioResult row = knob_row(sw::rail_integrity_evaluator(), knob, 4.5);
+    ASSERT_TRUE(row.failed);
+    EXPECT_NE(row.error.find(std::string(knob) + " must be an integer"), std::string::npos)
+        << row.error;
+    EXPECT_NE(row.error.find("4.5"), std::string::npos) << row.error;
+  }
+}
+
+TEST(SweepIntegerKnobs, ANanVrmTapCountFailsTheRow) {
+  for (const char* knob : kVrmTapKnobs) {
+    SCOPED_TRACE(knob);
+    const sw::ScenarioResult row =
+        knob_row(sw::rail_integrity_evaluator(), knob, std::nan(""));
+    ASSERT_TRUE(row.failed);
+    EXPECT_NE(row.error.find(std::string(knob) + " must be an integer"), std::string::npos)
+        << row.error;
+  }
+}
+
 TEST(SweepRegistry, PlansValidateAndMatchTheBenches) {
   for (const sw::PlanDescription& description : sw::registered_plans()) {
     const sw::SweepPlan plan = sw::make_registered_plan(description.name);
