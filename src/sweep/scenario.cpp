@@ -79,13 +79,11 @@ void rebuild_stack(core::SystemConfig& config, int die_count, bool interlayer,
 /// override order — in particular, interlayer=0 on a single-die stack (an
 /// unrepresentable intermediate) is not lost when die_count applies later.
 void apply_stack_rebuild(core::SystemConfig& config, double, const ScenarioSpec& scenario) {
-  const int dies = static_cast<int>(
-      scenario.get("die_count").value_or(stack_die_count(config.stack)));
+  const int dies = integer_knob(scenario, "die_count", stack_die_count(config.stack));
   const bool interlayer =
       scenario.get("interlayer")
           .value_or(stack_is_interlayer(config.stack) ? 1.0 : 0.0) != 0.0;
-  const int bulk_z = static_cast<int>(
-      scenario.get("stack_layers").value_or(stack_bulk_z_cells(config.stack)));
+  const int bulk_z = integer_knob(scenario, "stack_layers", stack_bulk_z_cells(config.stack));
   rebuild_stack(config, dies, interlayer, bulk_z);
 }
 
@@ -157,15 +155,15 @@ const std::vector<ParameterInfo>& parameter_registry() {
        }},
       {"channel_count", "number of parallel channels in the array",
        [](core::SystemConfig& c, double v) {
-         c.array_spec.channel_count = static_cast<int>(v);
+         c.array_spec.channel_count = integer_knob("channel_count", v);
        }},
       {"channel_groups", "channel groups sharing one axial temperature profile",
        [](core::SystemConfig& c, double v) {
-         c.channel_groups = static_cast<int>(v);
+         c.channel_groups = integer_knob("channel_groups", v);
        }},
       {"axial_cells", "thermal-grid cells along the flow direction",
        [](core::SystemConfig& c, double v) {
-         c.thermal_grid.axial_cells = static_cast<int>(v);
+         c.thermal_grid.axial_cells = integer_knob("axial_cells", v);
        },
        /*thermal_structural=*/true},
       {"die_count", "dies in the 3D stack (rebuilds a multi-die stack + per-die workload)",
@@ -178,7 +176,9 @@ const std::vector<ParameterInfo>& parameter_registry() {
        "cooling-layer etch depth, every stack layer + the flow-cell channels (um)",
        [](core::SystemConfig& c, double v) { set_channel_heights(c, v * 1e-6); },
        /*thermal_structural=*/true},
-      {"solver", "thermal preconditioner: 0 = ILU(0)+BiCGSTAB, 1 = geometric multigrid",
+      {"solver",
+       "thermal preconditioner: 0 = ILU(0) steady / plane-sweep transient, 1 = geometric "
+       "multigrid",
        [](core::SystemConfig& c, double v) {
          c.thermal_grid.solver_config.kind = v != 0.0 ? thermal::SolverKind::kMultigrid
                                                       : thermal::SolverKind::kIlu0;
@@ -211,7 +211,7 @@ const std::vector<ParameterInfo>& parameter_registry() {
        [](core::SystemConfig& c, double v) { c.vrm_spec.efficiency = v; }},
       {"max_cosim_iterations", "fixed-point iteration cap of the co-simulation",
        [](core::SystemConfig& c, double v) {
-         c.max_cosim_iterations = static_cast<int>(v);
+         c.max_cosim_iterations = integer_knob("max_cosim_iterations", v);
        }},
       // Evaluator-consumed parameter: the conventional edge-fed PDN baseline
       // has no SystemConfig field; rail_integrity_evaluator() reads it off

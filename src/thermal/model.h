@@ -16,14 +16,15 @@
 // (hydraulics::split_equal_pressure); a single channel layer receives the
 // total exactly, so the one-die model reproduces the pre-3D results
 // bit-for-bit. Steady solves use ILU(0)-preconditioned BiCGSTAB;
-// transients use backward Euler on the same operator.
+// transients use backward Euler on the same operator, preconditioned by the
+// flow-ordered plane sweep (numerics/plane_sweep.h).
 //
 // The sparsity pattern of the assembled operator depends only on the grid,
 // never on the operating point, so it is built once at construction
 // (`operator_pattern`) and per-solve work reduces to an in-place coefficient
 // fill. `solve_steady`/`step_transient` remain the simple one-shot entry
 // points; repeated solves should go through a ThermalSolveContext
-// (thermal/solve_context.h), which reuses the matrix, the ILU(0)
+// (thermal/solve_context.h), which reuses the matrix, the preconditioner
 // factorization, the Krylov workspace and the previous temperature field
 // across calls.
 #ifndef BRIGHTSI_THERMAL_MODEL_H
@@ -134,7 +135,9 @@ struct ThermalSolution {
 
 /// Which preconditioner backs the BiCGSTAB solve (docs/SOLVERS.md).
 enum class SolverKind {
-  kIlu0,       ///< ILU(0)-preconditioned BiCGSTAB — the default, bit-stable path
+  /// The default, bit-stable path: steady solves use ILU(0)-preconditioned
+  /// BiCGSTAB, transient steps the plane sweep (numerics/plane_sweep.h).
+  kIlu0,
   kMultigrid,  ///< z-semicoarsening geometric multigrid V-cycle preconditioner
 };
 
@@ -147,7 +150,7 @@ enum class SolverKind {
 
 /// Preconditioner selection, threaded from SystemConfig.thermal_grid down to
 /// every ThermalSolveContext (and hence transient engines, sweeps and CLIs).
-/// The default reproduces the seed's ILU(0) path bit-for-bit.
+/// The default reproduces the seed's ILU(0) steady path bit-for-bit.
 struct SolverConfig {
   SolverKind kind = SolverKind::kIlu0;
   numerics::MultigridOptions multigrid;  ///< used only when kind == kMultigrid
@@ -160,7 +163,7 @@ struct ThermalGridSettings {
   int axial_cells = 32;          ///< y-cells along the flow direction
   int solid_stack_x_cells = 64;  ///< x-columns when the stack has no channels
   numerics::SolverOptions solver;
-  SolverConfig solver_config;    ///< preconditioner choice (default: ILU(0))
+  SolverConfig solver_config;    ///< preconditioner choice (default: kIlu0)
 
   friend bool operator==(const ThermalGridSettings&, const ThermalGridSettings&) = default;
 };
@@ -234,10 +237,11 @@ class ThermalModel {
   /// bit-identical to the pre-3D model. Empty for solid stacks.
   [[nodiscard]] std::vector<double> layer_flow_split(const OperatingPoint& op) const;
 
-  /// The structural sparsity pattern of the assembled operator (values are
-  /// meaningless). Identical for every operating point, steady or
-  /// transient; solve contexts copy it once and refill coefficients in
-  /// place per solve.
+  /// The structural sparsity pattern of the assembled operator. Identical
+  /// for every operating point, steady or transient; solve contexts copy it
+  /// once and refill coefficients in place per solve. Its values are those
+  /// of a backward-Euler operator at a synthetic operating point, which no
+  /// solve uses.
   [[nodiscard]] const numerics::CsrMatrix& operator_pattern() const { return pattern_; }
 
  private:

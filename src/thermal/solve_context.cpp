@@ -103,6 +103,14 @@ ThermalSolution ThermalSolveContext::solve(std::span<const chip::Floorplan* cons
           model_->settings().solver_config.multigrid);
     }
     preconditioner = multigrid_.get();
+  } else if (capacity_over_dt > 0.0) {
+    if (plane_sweep_ != nullptr) {
+      plane_sweep_->refactor(matrix_);
+    } else {
+      plane_sweep_ = std::make_unique<numerics::PlaneSweepPreconditioner>(
+          matrix_, model_->nx(), model_->ny(), model_->nz());
+    }
+    preconditioner = plane_sweep_.get();
   } else {
     if (ilu_ != nullptr) {
       ilu_->refactor(matrix_);

@@ -1,8 +1,10 @@
 // Stateful solve context for the compact thermal model: separates the
-// one-time symbolic setup (sparsity pattern, scatter plans, ILU(0)
+// one-time symbolic setup (sparsity pattern, scatter plans, preconditioner
 // structure, Krylov workspace) from the per-solve numeric work (coefficient
 // fill, numeric refactorization, preconditioned BiCGSTAB), and warm-starts
-// each solve from the previous temperature field.
+// each solve from the previous temperature field. Under the default solver
+// kind, steady solves are preconditioned with ILU(0) and backward-Euler
+// steps with the flow-ordered plane sweep (numerics/plane_sweep.h).
 //
 // Ownership and lifecycle rules (see docs/ARCHITECTURE.md):
 //  * The context borrows the ThermalModel, which must outlive it.
@@ -22,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "numerics/plane_sweep.h"
 #include "thermal/model.h"
 
 namespace brightsi::thermal {
@@ -34,7 +37,7 @@ class ThermalSolveContext {
     int solves = 0;
     long long iterations = 0;      ///< BiCGSTAB iterations, summed
     double assembly_time_s = 0.0;  ///< coefficient fill + in-place CSR refill
-    /// Preconditioner setup: ILU(0) (re)factorization or multigrid
+    /// Preconditioner setup: ILU(0) or plane-sweep (re)factorization, or multigrid
     /// hierarchy build/refresh. Split from assembly so benches can separate
     /// stamping cost from solver setup cost (docs/BENCHMARKS.md).
     double precond_setup_time_s = 0.0;
@@ -91,9 +94,11 @@ class ThermalSolveContext {
   std::vector<double> rhs_;
   std::vector<int> steady_scatter_;    // triplet -> CSR slot plans per mode
   std::vector<int> transient_scatter_;
-  // Exactly one of these is live, per settings().solver_config.kind: the
-  // default ILU(0) factorization or the multigrid hierarchy (multigrid.h).
+  // Built on first use. Under kMultigrid every solve uses the multigrid
+  // hierarchy (multigrid.h); otherwise steady solves use ILU(0) and
+  // transient steps the plane sweep (plane_sweep.h).
   std::unique_ptr<numerics::Ilu0Preconditioner> ilu_;
+  std::unique_ptr<numerics::PlaneSweepPreconditioner> plane_sweep_;
   std::unique_ptr<numerics::MultigridPreconditioner> multigrid_;
   numerics::KrylovWorkspace workspace_;
   std::vector<double> temperatures_;   // last iterate = warm-start field

@@ -15,7 +15,7 @@
 //
 // The engine owns the evolving temperature field and moves each solve's
 // field into it (no per-step full-grid copy), carries one
-// ThermalSolveContext across all steps (assemble-once, ILU(0) refactor,
+// ThermalSolveContext across all steps (assemble-once, plane-sweep refactor,
 // warm starts), and hands a checkpointable `state()` back for resumable
 // runs (see docs/ARCHITECTURE.md, "The transient engine").
 #ifndef BRIGHTSI_THERMAL_TRANSIENT_H

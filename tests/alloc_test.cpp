@@ -1,6 +1,7 @@
 // Allocation gate of the contract rule in numerics/contracts.h: a passing
 // check costs no heap allocation, and neither the channel solve nor a cosim
-// run formats messages eagerly. The test binary replaces the global
+// run formats messages eagerly. The transient preconditioner's per-step
+// work (refactor + apply) allocates nothing either. The test binary replaces the global
 // operator new/delete with counting versions. Sanitizer builds bring their
 // own allocator, so there the counting operators are not installed and the
 // gates skip; the message-text checks run everywhere.
@@ -10,15 +11,20 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chip/power7.h"
 #include "chip/workload.h"
 #include "core/cosim.h"
 #include "core/system_config.h"
 #include "flowcell/cell_array.h"
 #include "numerics/contracts.h"
 #include "numerics/grid.h"
+#include "numerics/plane_sweep.h"
+#include "thermal/model.h"
+#include "thermal/stack.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define BRIGHTSI_ALLOC_SANITIZED 1
@@ -209,6 +215,27 @@ TEST(AllocationGate, Power7CosimRunStaysUnderTwoThousandAllocations) {
   const long long count = allocations_during([&] { report = system.run(); });
   EXPECT_TRUE(report.supply.feasible);
   EXPECT_LE(count, 2000) << "a cosim run allocated " << count << " times";
+}
+
+TEST(AllocationGate, PlaneSweepRefactorAndApplyAllocateNothing) {
+  if (!allocator_counts()) {
+    GTEST_SKIP() << "sanitizer build: the counting allocator is not installed";
+  }
+  brightsi::thermal::ThermalModel::GridSettings grid;
+  grid.axial_cells = 8;
+  const brightsi::thermal::ThermalModel model(brightsi::thermal::power7_microchannel_stack(),
+                                              brightsi::chip::kPower7DieWidthM,
+                                              brightsi::chip::kPower7DieHeightM, grid);
+  const brightsi::numerics::CsrMatrix& a = model.operator_pattern();
+  brightsi::numerics::PlaneSweepPreconditioner sweep(a, model.nx(), model.ny(), model.nz());
+  std::vector<double> r(static_cast<std::size_t>(a.rows()), 1.0);
+  std::vector<double> z(r.size(), 0.0);
+  const long long count = allocations_during([&] {
+    sweep.refactor(a);
+    sweep.apply(r, z);
+  });
+  EXPECT_GT(z.front(), 0.0);
+  EXPECT_EQ(count, 0) << "refactor + apply allocated " << count << " times";
 }
 
 }  // namespace

@@ -2,14 +2,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chip/power7.h"
 #include "numerics/contracts.h"
 #include "numerics/dense_matrix.h"
 #include "numerics/grid.h"
@@ -18,10 +21,13 @@
 #include "numerics/model_reduction.h"
 #include "numerics/multigrid.h"
 #include "numerics/parallel.h"
+#include "numerics/plane_sweep.h"
 #include "numerics/root_finding.h"
 #include "numerics/sparse_matrix.h"
 #include "numerics/statistics.h"
 #include "numerics/tridiagonal.h"
+#include "thermal/model.h"
+#include "thermal/stack.h"
 
 namespace nm = brightsi::numerics;
 
@@ -985,6 +991,206 @@ TEST(Multigrid, RejectsDimensionMismatch) {
   const nm::CsrMatrix a = grid_operator(2, 2, 4, 1.0, 1.0, 5.0, dz, 0.5);
   EXPECT_THROW(nm::MultigridPreconditioner(a, 5, dz), std::invalid_argument);
   EXPECT_THROW(nm::MultigridPreconditioner(a, 4, {0.25, 0.25}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Plane-sweep preconditioner (numerics/plane_sweep.h)
+// ---------------------------------------------------------------------------
+
+/// The thermal model's y-structure without conduction along y: x and z
+/// conduction, first-order upwind advection `c_adv` from y-1 in every
+/// cell, and a diagonal shift. A = D + L exactly (U = 0).
+nm::CsrMatrix upwind_operator(int nx, int ny, int nz, double kx, double kz, double c_adv,
+                              double diagonal_shift) {
+  auto idx = [&](int ix, int iy, int iz) { return (iz * ny + iy) * nx + ix; };
+  nm::TripletList t;
+  auto pair = [&](int a, int b, double g) {
+    t.add(a, a, g);
+    t.add(b, b, g);
+    t.add(a, b, -g);
+    t.add(b, a, -g);
+  };
+  for (int iz = 0; iz < nz; ++iz) {
+    for (int iy = 0; iy < ny; ++iy) {
+      for (int ix = 0; ix < nx; ++ix) {
+        const int me = idx(ix, iy, iz);
+        if (ix + 1 < nx) {
+          pair(me, idx(ix + 1, iy, iz), kx * (1.0 + 0.1 * ix));
+        }
+        if (iz + 1 < nz) {
+          pair(me, idx(ix, iy, iz + 1), kz);
+        }
+        t.add(me, me, c_adv + diagonal_shift);
+        if (iy > 0) {
+          t.add(me, idx(ix, iy - 1, iz), -c_adv);
+        }
+      }
+    }
+  }
+  const int n = nx * ny * nz;
+  return nm::CsrMatrix::from_triplets(n, n, t);
+}
+
+TEST(PlaneSweep, ExactWithoutCouplingToTheNextPlane) {
+  const int nx = 5, ny = 6, nz = 4;
+  const nm::CsrMatrix a = upwind_operator(nx, ny, nz, 2.0, 40.0, 3.0, 0.25);
+  const nm::PlaneSweepPreconditioner sweep(a, nx, ny, nz);
+  const std::vector<double> r = random_vector(a.rows());
+  std::vector<double> z(r.size(), 0.0);
+  sweep.apply(r, z);
+  std::vector<double> az(r.size(), 0.0);
+  a.multiply(z, az);
+  double residual = 0.0, r_norm = 0.0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    residual += (az[i] - r[i]) * (az[i] - r[i]);
+    r_norm += r[i] * r[i];
+  }
+  EXPECT_LE(std::sqrt(residual), 1e-12 * std::sqrt(r_norm));
+
+  std::vector<double> x(r.size(), 0.0);
+  const nm::SolverReport report = nm::solve_bicgstab(a, r, x, &sweep);
+  EXPECT_TRUE(report.converged);
+  EXPECT_EQ(report.iterations, 1);
+}
+
+TEST(PlaneSweep, ConvergesFastWithWeakConductionAlongY) {
+  const int nx = 6, ny = 8, nz = 5;
+  const std::vector<double> dz(static_cast<std::size_t>(nz), 0.2);
+  // Strong z, moderate x, weak y conduction: the thermal model's regime.
+  const nm::CsrMatrix a = grid_operator(nx, ny, nz, 1.0, 0.01, 5.0, dz, 0.1);
+  const nm::PlaneSweepPreconditioner sweep(a, nx, ny, nz);
+  const std::vector<double> b = random_vector(a.rows());
+  std::vector<double> x(b.size(), 0.0);
+  const nm::SolverReport report = nm::solve_bicgstab(a, b, x, &sweep);
+  ASSERT_TRUE(report.converged);
+  EXPECT_LE(report.iterations, 4);
+  std::vector<double> r(b.size(), 0.0);
+  EXPECT_LE(a.residual(b, x, r), 1e-9 * std::sqrt(std::inner_product(b.begin(), b.end(),
+                                                                      b.begin(), 0.0)));
+}
+
+TEST(PlaneSweep, IsSymmetricOnASymmetricOperator) {
+  // M = (D + L) D^-1 (D + U) with U = L^T is symmetric, so
+  // w . M^-1 r == r . M^-1 w; a one-way (forward-only) sweep is not.
+  const int nx = 5, ny = 6, nz = 4;
+  const std::vector<double> dz(static_cast<std::size_t>(nz), 0.25);
+  const nm::CsrMatrix a = grid_operator(nx, ny, nz, 1.0, 0.5, 5.0, dz, 0.1);
+  ASSERT_TRUE(a.is_symmetric());
+  const nm::PlaneSweepPreconditioner sweep(a, nx, ny, nz);
+  const std::vector<double> r = random_vector(a.rows());
+  const std::vector<double> w = random_vector(a.rows());
+  std::vector<double> m_r(r.size(), 0.0);
+  std::vector<double> m_w(w.size(), 0.0);
+  sweep.apply(r, m_r);
+  sweep.apply(w, m_w);
+  const double w_m_r = std::inner_product(w.begin(), w.end(), m_r.begin(), 0.0);
+  const double r_m_w = std::inner_product(r.begin(), r.end(), m_w.begin(), 0.0);
+  EXPECT_NEAR(w_m_r, r_m_w, 1e-12 * std::abs(w_m_r));
+}
+
+TEST(PlaneSweep, RefactorMatchesFreshConstructionBitwise) {
+  const int nx = 4, ny = 5, nz = 3;
+  const std::vector<double> dz(static_cast<std::size_t>(nz), 1.0 / 3.0);
+  const nm::CsrMatrix a1 = grid_operator(nx, ny, nz, 1.0, 0.1, 8.0, dz, 0.5);
+  const nm::CsrMatrix a2 = grid_operator(nx, ny, nz, 3.0, 0.02, 2.0, dz, 1.5);
+  nm::PlaneSweepPreconditioner refactored(a1, nx, ny, nz);
+  refactored.refactor(a2);
+  const nm::PlaneSweepPreconditioner fresh(a2, nx, ny, nz);
+  EXPECT_EQ(refactored.distinct_planes(), fresh.distinct_planes());
+
+  const std::vector<double> r = random_vector(a2.rows());
+  std::vector<double> z_refactored(r.size(), 0.0);
+  std::vector<double> z_fresh(r.size(), 0.0);
+  refactored.apply(r, z_refactored);
+  fresh.apply(r, z_fresh);
+  EXPECT_EQ(z_refactored, z_fresh);
+}
+
+TEST(PlaneSweep, ReusesTheFactorOfEqualPlanes) {
+  // A plane's diagonal counts its y-faces: interior planes have two, the
+  // end planes one. So ny = 2 has one distinct plane and any ny >= 3 three.
+  const std::vector<double> dz(3, 1.0 / 3.0);
+  for (const auto& [ny, distinct] : {std::pair{1, 1}, {2, 1}, {3, 3}, {7, 3}}) {
+    const nm::CsrMatrix a = grid_operator(4, ny, 3, 1.0, 0.1, 8.0, dz, 0.5);
+    const nm::PlaneSweepPreconditioner sweep(a, 4, ny, 3);
+    EXPECT_EQ(sweep.distinct_planes(), distinct) << "ny " << ny;
+  }
+}
+
+TEST(PlaneSweep, ThermalOperatorFactorsThreeDistinctPlanes) {
+  // operator_pattern() is stamped by the model's own fill at a synthetic
+  // backward-Euler operating point, so it is a genuine thermal operator.
+  for (const int axial_cells : {8, 32}) {
+    brightsi::thermal::ThermalModel::GridSettings grid;
+    grid.axial_cells = axial_cells;
+    const brightsi::thermal::ThermalModel model(brightsi::thermal::power7_microchannel_stack(),
+                                                brightsi::chip::kPower7DieWidthM,
+                                                brightsi::chip::kPower7DieHeightM, grid);
+    const nm::PlaneSweepPreconditioner sweep(model.operator_pattern(), model.nx(), model.ny(),
+                                             model.nz());
+    EXPECT_EQ(sweep.distinct_planes(), 3) << "axial_cells " << axial_cells;
+  }
+}
+
+TEST(PlaneSweep, RejectsAnEntryOffTheSevenPointStencil) {
+  const std::vector<double> dz(2, 0.5);
+  nm::TripletList t;
+  for (int i = 0; i < 8; ++i) {
+    t.add(i, i, 4.0);
+  }
+  t.add(0, 3, -1.0);  // (ix, iy) = (0, 0) -> (1, 1): a diagonal neighbor
+  const nm::CsrMatrix a = nm::CsrMatrix::from_triplets(8, 8, t);
+  try {
+    const nm::PlaneSweepPreconditioner sweep(a, 2, 2, 2);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("not on the 7-point stencil"), std::string::npos)
+        << e.what();
+  }
+  // A wrapped x-neighbor (last column of one row to the first of the next).
+  nm::TripletList wrapped;
+  for (int i = 0; i < 8; ++i) {
+    wrapped.add(i, i, 4.0);
+  }
+  wrapped.add(1, 2, -1.0);
+  EXPECT_THROW(nm::PlaneSweepPreconditioner(nm::CsrMatrix::from_triplets(8, 8, wrapped), 2, 2, 2),
+               std::invalid_argument);
+  // A grid that does not match the matrix.
+  EXPECT_THROW(nm::PlaneSweepPreconditioner(grid_operator(2, 2, 2, 1.0, 1.0, 1.0, dz, 1.0),
+                                            2, 3, 2),
+               std::invalid_argument);
+}
+
+TEST(PlaneSweep, RejectsAMissingDiagonalAndARefactorOnAnotherPattern) {
+  nm::TripletList t;
+  t.add(0, 0, 1.0);
+  t.add(0, 1, -0.5);  // row 1 stores only its x-neighbor, no diagonal
+  t.add(1, 0, -0.5);
+  EXPECT_THROW(nm::PlaneSweepPreconditioner(nm::CsrMatrix::from_triplets(2, 2, t), 2, 1, 1),
+               std::invalid_argument);
+
+  const std::vector<double> dz(2, 0.5);
+  const nm::CsrMatrix a = grid_operator(2, 3, 2, 1.0, 0.1, 1.0, dz, 1.0);
+  nm::PlaneSweepPreconditioner sweep(a, 2, 3, 2);
+  const nm::CsrMatrix no_y = upwind_operator(2, 3, 2, 1.0, 1.0, 0.0, 1.0);
+  EXPECT_THROW(sweep.refactor(no_y), std::invalid_argument);
+  EXPECT_THROW(sweep.refactor(random_spd(12)), std::invalid_argument);
+}
+
+TEST(PlaneSweep, ThrowsANamedErrorOnAZeroPivot) {
+  nm::TripletList t;
+  t.add(0, 0, 0.0);  // plane y = 0 is singular
+  t.add(1, 1, 1.0);
+  t.add(1, 0, -1.0);
+  const nm::CsrMatrix a = nm::CsrMatrix::from_triplets(2, 2, t);
+  try {
+    const nm::PlaneSweepPreconditioner sweep(a, 1, 2, 1);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("PlaneSweepPreconditioner: zero pivot at plane y = 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SparseMatrix, CopyValuesFromRequiresIdenticalPattern) {

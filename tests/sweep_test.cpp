@@ -296,6 +296,45 @@ TEST(SweepIntegerKnobs, ANanVrmTapCountFailsTheRow) {
   }
 }
 
+// The structural knobs: axial_cells = 16.5 used to run 16 planes and
+// die_count = 16.5 a 16-die stack. The rail evaluator builds the config
+// but runs no thermal solve, so the rows stay cheap.
+TEST(SweepIntegerKnobs, AFractionalOrNanStructuralKnobFailsTheRow) {
+  for (const char* knob : {"axial_cells", "die_count"}) {
+    SCOPED_TRACE(knob);
+    const sw::ScenarioResult fractional = knob_row(sw::rail_integrity_evaluator(), knob, 16.5);
+    ASSERT_TRUE(fractional.failed);
+    EXPECT_NE(fractional.error.find(std::string(knob) + " must be an integer"),
+              std::string::npos)
+        << fractional.error;
+    EXPECT_NE(fractional.error.find("16.5"), std::string::npos) << fractional.error;
+    const sw::ScenarioResult nan = knob_row(sw::rail_integrity_evaluator(), knob, std::nan(""));
+    ASSERT_TRUE(nan.failed);
+    EXPECT_NE(nan.error.find(std::string(knob) + " must be an integer"), std::string::npos)
+        << nan.error;
+  }
+}
+
+TEST(SweepIntegerKnobs, EveryIntegerApplierRejectsAFraction) {
+  const co::SystemConfig base = co::power7_system_config();
+  for (const char* knob : {"channel_count", "channel_groups", "axial_cells",
+                           "max_cosim_iterations", "die_count", "stack_layers"}) {
+    SCOPED_TRACE(knob);
+    sw::ScenarioSpec scenario;
+    scenario.set(knob, 2.0);
+    EXPECT_NO_THROW((void)sw::apply_scenario(base, scenario));
+    scenario.set(knob, 2.5);
+    try {
+      (void)sw::apply_scenario(base, scenario);
+      ADD_FAILURE() << "2.5 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(knob) + " must be an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(SweepRegistry, PlansValidateAndMatchTheBenches) {
   for (const sw::PlanDescription& description : sw::registered_plans()) {
     const sw::SweepPlan plan = sw::make_registered_plan(description.name);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "chip/power7.h"
+#include "thermal/solve_context.h"
 #include "thermal/stack.h"
 #include "thermal/transient.h"
 
@@ -18,11 +19,15 @@ namespace ch = brightsi::chip;
 
 namespace {
 
-th::ThermalModel make_model(int axial_cells = 8) {
+th::ThermalModel make_model(int axial_cells = 8,
+                            th::SolverKind kind = th::SolverKind::kIlu0,
+                            th::StackSpec stack = th::power7_microchannel_stack(),
+                            double relative_tolerance = 1e-10) {
   th::ThermalModel::GridSettings grid;
   grid.axial_cells = axial_cells;
-  return th::ThermalModel(th::power7_microchannel_stack(), ch::kPower7DieWidthM,
-                          ch::kPower7DieHeightM, grid);
+  grid.solver_config.kind = kind;
+  grid.solver.relative_tolerance = relative_tolerance;
+  return th::ThermalModel(std::move(stack), ch::kPower7DieWidthM, ch::kPower7DieHeightM, grid);
 }
 
 th::OperatingPoint nominal_op() {
@@ -275,6 +280,87 @@ TEST(TransientEngine, StatsAccumulateAcrossRuns) {
   engine.run(ch::full_load_trace(0.2), spec, nullptr);
   EXPECT_EQ(engine.steps_taken(), 5);
   EXPECT_EQ(engine.thermal_stats().solves, 5);
+}
+
+// ------------------------------------------- transient preconditioning
+
+/// Backward-Euler steps of `model` from a uniform field under full load on
+/// every die; returns each step's field and BiCGSTAB iteration count.
+struct SteppedFields {
+  std::vector<std::vector<double>> fields;
+  std::vector<int> iterations;
+};
+
+SteppedFields step_full_load(const th::ThermalModel& model, int steps, double dt_s) {
+  std::vector<ch::Floorplan> dies(static_cast<std::size_t>(model.die_count()),
+                                  ch::make_power7_floorplan());
+  std::vector<const ch::Floorplan*> pointers;
+  for (const ch::Floorplan& die : dies) {
+    pointers.push_back(&die);
+  }
+  th::ThermalSolveContext context(model);
+  auto state = model.uniform_state(nominal_op().inlet_temperature_k);
+  SteppedFields out;
+  for (int step = 0; step < steps; ++step) {
+    th::ThermalSolution solution = context.step_transient(state, pointers, nominal_op(), dt_s);
+    out.iterations.push_back(solution.solver_report.iterations);
+    state = std::move(solution.temperature_k);
+    out.fields.push_back(state.data());
+  }
+  return out;
+}
+
+/// The default transient path (plane-sweep preconditioner) against the
+/// same steps under the multigrid preconditioner, an independent one: both
+/// solve the same backward-Euler system, so the fields agree to solver
+/// tolerance. The default 1e-10 relative residual leaves ~1e-7 K between
+/// two preconditioners, so both solve to 1e-13 here.
+void expect_default_matches_multigrid(int axial_cells, const th::StackSpec& stack) {
+  const auto sweep_model = make_model(axial_cells, th::SolverKind::kIlu0, stack, 1e-13);
+  const auto mg_model = make_model(axial_cells, th::SolverKind::kMultigrid, stack, 1e-13);
+  const SteppedFields sweep = step_full_load(sweep_model, 4, 0.05);
+  const SteppedFields mg = step_full_load(mg_model, 4, 0.05);
+  for (std::size_t step = 0; step < sweep.fields.size(); ++step) {
+    double worst = 0.0;
+    for (std::size_t i = 0; i < sweep.fields[step].size(); ++i) {
+      worst = std::max(worst, std::abs(sweep.fields[step][i] - mg.fields[step][i]));
+    }
+    EXPECT_LE(worst, 1e-8) << "axial " << axial_cells << " step " << step;
+  }
+}
+
+TEST(TransientPreconditioner, Power7StepMatchesMultigridAtAxial8) {
+  expect_default_matches_multigrid(8, th::power7_microchannel_stack());
+}
+
+TEST(TransientPreconditioner, Power7StepMatchesMultigridAtAxial32) {
+  expect_default_matches_multigrid(32, th::power7_microchannel_stack());
+}
+
+TEST(TransientPreconditioner, InterlayerTwoDieStepMatchesMultigrid) {
+  expect_default_matches_multigrid(8, th::two_die_stack());
+}
+
+TEST(TransientPreconditioner, StepsTakeAtMostFourIterations) {
+  // The fleet and mission workloads run axial_cells = 8 at steps of
+  // 0.03-0.15 s, where ILU(0) took 20-35 iterations per step.
+  for (const double dt_s : {0.03, 0.05, 0.1, 0.15}) {
+    const SteppedFields stepped = step_full_load(make_model(8), 5, dt_s);
+    for (std::size_t step = 0; step < stepped.iterations.size(); ++step) {
+      EXPECT_LE(stepped.iterations[step], 4) << "dt " << dt_s << " step " << step;
+    }
+  }
+  const SteppedFields two_die =
+      step_full_load(make_model(8, th::SolverKind::kIlu0, th::two_die_stack()), 5, 0.05);
+  for (const int iterations : two_die.iterations) {
+    EXPECT_LE(iterations, 4);
+  }
+  // Shorter cells strengthen conduction along y against the mass term, so
+  // the sweep needs more iterations at axial_cells = 32 (3-9; ILU(0) 16-35).
+  const SteppedFields fine = step_full_load(make_model(32), 5, 0.1);
+  for (const int iterations : fine.iterations) {
+    EXPECT_LE(iterations, 10);
+  }
 }
 
 }  // namespace
